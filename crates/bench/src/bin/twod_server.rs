@@ -34,18 +34,26 @@ fn main() {
             })
             .clone()
     };
-    let parse_usize = |v: String, flag: &str| -> usize {
-        v.parse().unwrap_or_else(|e| {
-            eprintln!("{flag}: {e}");
-            std::process::exit(2);
-        })
+    // Bank count and per-bank geometry: zero of any of them is no cache.
+    let parse_count = |v: String, flag: &str| -> usize {
+        match v.parse() {
+            Ok(0) => {
+                eprintln!("{flag} must be at least 1");
+                std::process::exit(2);
+            }
+            Ok(n) => n,
+            Err(e) => {
+                eprintln!("{flag}: {e}");
+                std::process::exit(2);
+            }
+        }
     };
     while let Some(a) = it.next() {
         match a.as_str() {
             "--addr" => addr = take_value(&mut it, "--addr"),
-            "--banks" => banks = parse_usize(take_value(&mut it, "--banks"), "--banks"),
-            "--sets" => sets = parse_usize(take_value(&mut it, "--sets"), "--sets"),
-            "--ways" => ways = parse_usize(take_value(&mut it, "--ways"), "--ways"),
+            "--banks" => banks = parse_count(take_value(&mut it, "--banks"), "--banks"),
+            "--sets" => sets = parse_count(take_value(&mut it, "--sets"), "--sets"),
+            "--ways" => ways = parse_count(take_value(&mut it, "--ways"), "--ways"),
             "--no-scrubber" => scrubber_on = false,
             "--heartbeat-secs" => {
                 heartbeat_secs = take_value(&mut it, "--heartbeat-secs")

@@ -2,7 +2,6 @@
 //! the 2D-protection policy knobs swept in Figure 5.
 
 /// Which CMP design point to simulate (Table 1).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CmpKind {
     /// Four 4-wide out-of-order cores, 2-port L1D, 16MB shared L2.
@@ -12,7 +11,6 @@ pub enum CmpKind {
 }
 
 /// Full system configuration.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SystemConfig {
     /// Which design point.
@@ -95,7 +93,6 @@ impl SystemConfig {
 
 /// Which caches carry 2D protection and whether the L1 read-before-write
 /// reads are scheduled into idle port cycles (port stealing).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct ProtectionPolicy {
     /// L1 data caches issue read-before-write on every store/fill.

@@ -46,7 +46,6 @@ pub mod l2;
 pub mod mshr;
 pub mod port;
 pub mod protected;
-pub mod replication;
 mod runner;
 pub mod service;
 mod sim;

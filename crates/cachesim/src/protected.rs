@@ -40,7 +40,6 @@ use reliability::montecarlo::{projected_retirements, MeasuredRates};
 use reliability::YieldModel;
 use twod_cache::TwoDScheme;
 
-use crate::replication::ReplicationCache;
 use crate::{DetailedSim, ProtectionPolicy, SystemConfig, WorkloadProfile};
 
 /// Data rows per store bank. 544 is chosen so the 2D L2 preset lands at
@@ -196,8 +195,6 @@ pub struct StoreStats {
     pub writebacks: u64,
     /// Total correction/recovery cycles charged to the banks.
     pub penalty_cycles: u64,
-    /// Writebacks the replication buffer could not coalesce.
-    pub spilled_writes: u64,
 }
 
 /// A coded backing store for the detailed L2 model: real banks, a
@@ -216,7 +213,6 @@ pub struct ProtectedStore {
     /// readback and rebuild order deterministic.
     model: Vec<BTreeMap<u32, Bits>>,
     write_epoch: u64,
-    replication: ReplicationCache,
     stats: StoreStats,
     evidence: EventEvidence,
     words_per_row: usize,
@@ -240,7 +236,6 @@ impl ProtectedStore {
             banks,
             model: (0..STORE_BANKS).map(|_| BTreeMap::new()).collect(),
             write_epoch: 0,
-            replication: ReplicationCache::new(64),
             stats: StoreStats::default(),
             evidence: EventEvidence::default(),
             words_per_row,
@@ -339,9 +334,6 @@ impl ProtectedStore {
     /// penalty the read-before-write incurred.
     pub fn writeback(&mut self, line: u64) -> u64 {
         self.stats.writebacks += 1;
-        if self.replication.record_write(line) {
-            self.stats.spilled_writes += 1;
-        }
         self.write_epoch += 1;
         let (bank, row, word) = self.slot_of(line);
         let key = (row * self.words_per_row + word) as u32;
@@ -714,8 +706,8 @@ impl SimCampaignOutcome {
             );
             let _ = writeln!(
                 s,
-                "      \"store\": {{ \"fill_reads\": {}, \"writebacks\": {}, \"penalty_cycles\": {}, \"spilled_writes\": {} }}",
-                r.store.fill_reads, r.store.writebacks, r.store.penalty_cycles, r.store.spilled_writes
+                "      \"store\": {{ \"fill_reads\": {}, \"writebacks\": {}, \"penalty_cycles\": {} }}",
+                r.store.fill_reads, r.store.writebacks, r.store.penalty_cycles
             );
             let comma = if i + 1 < self.schemes.len() { "," } else { "" };
             let _ = writeln!(s, "    }}{}", comma);

@@ -1,7 +1,7 @@
 //! Network-facing cache service tier: a length-prefixed binary
 //! protocol (GET/SET/HEALTH/SCRUB-STATS) over `std::net` TCP, served by
 //! [`CacheServer`] with thread-per-connection acceptors, and consumed
-//! by [`NetClient`] / the load generator and chaos drivers.
+//! by [`NetClient`] / [`ShardedClient`] and the chaos drivers.
 //!
 //! This is the fourth architectural layer: sockets → admission → banks.
 //! The engine underneath
@@ -69,7 +69,6 @@
 
 pub mod chaos;
 pub mod client;
-pub mod loadgen;
 pub mod protocol;
 pub mod server;
 pub mod sharded;
@@ -79,7 +78,6 @@ pub use chaos::{
     ShardChaosReport,
 };
 pub use client::{ClientConfig, NetClient};
-pub use loadgen::{run_load, run_load_sharded, LoadConfig, LoadReport};
 pub use protocol::{
     BankHealth, FrameRead, HealthReport, ItemOutcome, ProtocolError, Request, RequestFrame,
     Response, ResponseKind, ScrubSnapshot, ServerError,

@@ -167,7 +167,6 @@ impl HotSetSampler {
 }
 
 /// Per-instruction memory behaviour of one workload.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WorkloadProfile {
     /// Display name.

@@ -22,8 +22,6 @@
 //! * [`Scrubber`] — the self-healing layer: background threads sweeping
 //!   the banks in lock-bounded slices, with an adaptive rate controller
 //!   driven by observed error traffic and online FIT/MTTF accounting;
-//! * [`BankedProtectedCache`] — the sequential (`&mut self`) facade over
-//!   the same banks;
 //! * [`analysis`] — the overhead composition behind the paper's Figure 7.
 //!
 //! ## Quickstart
@@ -46,13 +44,11 @@
 #![warn(missing_debug_implementations)]
 
 pub mod analysis;
-mod banked;
 mod cache;
 mod concurrent;
 mod scheme;
 mod scrubber;
 
-pub use banked::BankedProtectedCache;
 pub use cache::{CacheConfig, CacheStats, ProtectedCache, LINE_BYTES};
 pub use concurrent::{BankGuard, BatchOp, BatchOutcome, ConcurrentBankedCache};
 pub use scheme::TwoDScheme;

@@ -5,7 +5,6 @@ use ecc::CodeKind;
 use memarray::TwoDConfig;
 
 /// A complete 2D coding configuration for a cache data (or tag) array.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TwoDScheme {
     /// Horizontal per-word code (detection, or SECDED for yield mode).

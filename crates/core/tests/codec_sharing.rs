@@ -7,7 +7,7 @@
 //! deltas across `#[test]`s would race.
 
 use std::sync::Arc;
-use twod_cache::{BankedProtectedCache, CacheConfig, ProtectedCache, TwoDScheme};
+use twod_cache::{CacheConfig, ConcurrentBankedCache, ProtectedCache, TwoDScheme};
 
 /// A scheme with a word width unique to this test binary, so registry
 /// deltas measured here cannot be perturbed by other tests.
@@ -45,7 +45,7 @@ fn codec_and_scheme_tables_are_shared_across_the_stack() {
     // --- construction counts: N banks cost zero additional table sets ---
     let codec_builds_before = ecc::shared_codec_builds();
     let scheme_builds_before = memarray::shared_scheme_builds();
-    let mut banked = BankedProtectedCache::new(
+    let banked = ConcurrentBankedCache::new(
         CacheConfig {
             sets: 16,
             ways: 2,
@@ -69,10 +69,10 @@ fn codec_and_scheme_tables_are_shared_across_the_stack() {
     );
     // Every bank's data array runs on literally the same scheme (and the
     // first cache's, too).
-    let scheme0 = Arc::clone(banked.bank(0).data_array().scheme());
+    let scheme0 = Arc::clone(banked.lock_bank(0).data_array().scheme());
     for bank in 1..banked.banks() {
         assert!(
-            Arc::ptr_eq(&scheme0, banked.bank(bank).data_array().scheme()),
+            Arc::ptr_eq(&scheme0, banked.lock_bank(bank).data_array().scheme()),
             "bank {bank} duplicated the shared scheme"
         );
     }

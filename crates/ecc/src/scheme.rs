@@ -11,7 +11,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 /// The per-word code families evaluated in the paper.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CodeKind {
     /// `n`-way interleaved parity, detection only (`EDCn`).
@@ -145,7 +144,6 @@ impl fmt::Display for CodeKind {
 
 /// A per-word code combined with a physical bit-interleaving degree —
 /// the unit of comparison in Figures 1, 3, and 7 (e.g. `DECTED+Intv16`).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct InterleavedScheme {
     /// The per-word code.
@@ -206,17 +204,6 @@ impl fmt::Display for InterleavedScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Compile-and-impl witness for the gated serde derives: the
-    /// feature-matrix CI job runs the suite with `--features serde`, so
-    /// a rotted `cfg_attr` site fails there instead of never building.
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_derives_produce_impls() {
-        fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-        assert_serde::<CodeKind>();
-        assert_serde::<InterleavedScheme>();
-    }
 
     #[test]
     fn check_bits_match_figure1() {

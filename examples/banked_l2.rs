@@ -7,11 +7,11 @@
 
 use cachesim::trace::SharingModel;
 use memarray::ErrorShape;
-use twod_cache::{BankedProtectedCache, CacheConfig};
+use twod_cache::{CacheConfig, ConcurrentBankedCache};
 
 fn main() {
     // An 8-bank protected cache (each bank a 64kB 2D-protected array).
-    let mut l2 = BankedProtectedCache::new(CacheConfig::l1_64kb(), 8);
+    let l2 = ConcurrentBankedCache::new(CacheConfig::l1_64kb(), 8);
     println!("built {l2:?} ({} KiB total)", l2.capacity() / 1024);
 
     // Spread a working set over all banks.
@@ -36,7 +36,7 @@ fn main() {
         assert_eq!(l2.read(i * 8).unwrap(), i.rotate_left(17) ^ 0x5555);
     }
     for bank in 0..8 {
-        let recoveries = l2.bank(bank).data_engine_stats().recoveries;
+        let recoveries = l2.lock_bank(bank).data_engine_stats().recoveries;
         println!("  bank {bank}: {recoveries} recovery invocation(s)");
     }
     assert!(l2.audit());

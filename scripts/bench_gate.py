@@ -8,7 +8,8 @@ Usage:
         --baseline BENCH_engine.json --fresh target/bench-gate/BENCH_engine.json \
         --baseline BENCH_cache.json --fresh target/bench-gate/BENCH_cache.json \
         --baseline BENCH_service.json --fresh target/bench-gate/BENCH_service.json \
-        --baseline BENCH_scrub.json --fresh target/bench-gate/BENCH_scrub.json
+        --baseline BENCH_scrub.json --fresh target/bench-gate/BENCH_scrub.json \
+        --baseline BENCH_sim.json --fresh target/bench-gate/BENCH_sim.json
 
 Each --baseline is paired positionally with the matching --fresh file.
 
@@ -30,7 +31,10 @@ baseline pins 0 allocs/op fails the build if a fresh measurement
 allocates at all — that is the allocation-regression contract of the
 zero-allocation hot paths. Rows with nonzero baseline allocs are
 reported informationally (their counts legitimately drift with workload
-mix), and rows where either side lacks the field are skipped.
+mix), and rows where either side lacks the field are skipped. The
+allocation check runs before the runner-dependent timing skip below, so
+a row whose timing is runner noise still hard-fails on any fresh
+allocation against a 0-allocs baseline.
 
 BENCH_scrub.json rows cover the self-healing service: incremental-scrub
 micro paths (`slice_clean`, `full_pass_clean`, `repair_cluster_16x16`)
@@ -53,33 +57,6 @@ informational. All of these ARE still required to be present: a
 missing row fails the gate, which is the emission contract the
 campaign driver and the perf binary are held to.
 
-BENCH_net.json rows come from the network load generator (`net_load`):
-`net.ops` is mean wall-clock ns per pipelined request over loopback TCP,
-and `net.p50`/`net.p99`/`net.p999` are the tail-latency percentiles. All
-four are runner-dependent through and through — loopback scheduling,
-socket buffer behaviour, and core count dominate them, and on a
-single-CPU runner client and server threads time-share one core — so
-every `net.*` row is informational, never failed on a ratio. They ARE
-required to be present and parseable: a missing or malformed row fails
-the gate, which pins the emission contract (the p99 column existing and
-carrying a number is the check; its value is for the artifact trail).
-Correctness under load is gated separately: the `net_load` process
-itself exits nonzero on any wrong read, and the `net-smoke` CI lane runs
-the network chaos phase.
-
-The `net_batch.*` family splits in two. `net_batch.{ops,p50,p99,p999}`
-come from a 2-shard loopback run through the sharded client and are
-runner-dependent exactly like `net.*` (two servers plus clients
-time-sharing one CI core). `net_batch.locks_per_op` and
-`net_batch.allocs_per_op` are different: they come from a deterministic
-in-process harness (pre-encoded frame batches fed straight into the
-server's batch executor, no sockets), so they ARE ratio-gated, and the
-allocs row carries the `allocs_per_op` field with a committed baseline
-of 0 — the hard allocation pin for the batched clean GET/SET serve
-path. To make that pin unskippable, the allocation check runs *before*
-the runner-dependent timing skip: a row whose timing is runner noise
-still hard-fails on any fresh allocation against a 0-allocs baseline.
-
 BENCH_service.json rows are aggregate wall-clock ns/op of the concurrent
 sharded cache service (`service.seq_ops` = lock-free sequential
 reference, `service.conc_ops_Nt` = N worker threads over 8 banks,
@@ -101,8 +78,8 @@ BENCH_sim.json rows come from the detailed-simulator fault campaign
 (`sim` binary, `--quick`). The `sim.*` family (cycles/ref, MSHR
 occupancy mean/peak, correction-stall fraction) are load-dependent
 timing proxies whose absolute values shift with any intended change to
-the simulator model, so they are informational like `net.*` — but
-required to be present, which pins the emission contract. The
+the simulator model, so they are informational like the multi-threaded
+service rows — but required to be present, which pins the emission contract. The
 `sim_rates.*` family (NE/CE/DUE/SDC counts per scheme) is the opposite
 extreme: the campaign is seeded and RNG-free on the classification
 side, so these counts are *exactly* reproducible — any drift from the
@@ -274,16 +251,6 @@ def main():
                 # higher is better, so the ratio gate points the wrong
                 # way; presence is still enforced above.
                 or key == ("scrub", "scrub_throughput_gbps")
-                # Loopback TCP throughput/latency rows are dominated by
-                # socket scheduling and core count (see module
-                # docstring); presence is still enforced above. The
-                # sharded-client timing rows (net_batch.{ops,p50,p99,
-                # p999}) share that fate; the deterministic net_batch
-                # ratio rows (locks_per_op, allocs_per_op) are NOT
-                # listed here and stay ratio-gated.
-                or key[0] == "net"
-                or (key[0] == "net_batch"
-                    and key[1] in ("ops", "p50", "p99", "p999"))
                 # Simulator timing proxies move with any intended model
                 # change (see module docstring); presence is still
                 # enforced above, and the sim_rates.* counts are pinned
