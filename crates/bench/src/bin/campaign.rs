@@ -20,14 +20,19 @@
 //!   repo root is emitted by the `perf` binary, which includes these
 //!   same campaign rows plus the scrub micro-benchmarks.
 //!
+//! `--net` adds `net_chaos_report.json` and `shard_chaos_report.json`
+//! ([`cachesim::net::NetChaosReport::to_json`],
+//! [`cachesim::net::ShardChaosReport::to_json`]).
+//!
 //! The process exits nonzero if the campaign ends unhealthy (any lost
 //! write, unrecoverable word, or uncorrectable event) — the soak lane's
-//! actual gate.
+//! actual gate — or if a `--net` phase reports a problem.
 
 use bench::bench_json::{self, BenchRow};
-use cachesim::net::{run_net_chaos, run_shard_chaos, NetChaosConfig, ShardChaosConfig};
+use bench::{parse_seed, take_value, usage_error};
+use cachesim::net::{run_net_chaos, run_shard_chaos};
 use cachesim::{run_campaign, CampaignConfig, CampaignReport};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Default seed of the pinned CI campaigns. Changing it invalidates
@@ -66,39 +71,20 @@ fn main() {
     let mut out_dir = PathBuf::from("target/campaign");
     let mut scrubber = true;
     let mut it = args.iter();
-    let take_value = |it: &mut std::slice::Iter<'_, String>, flag: &str| -> String {
-        it.next()
-            .filter(|v| !v.starts_with("--"))
-            .unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                std::process::exit(2);
-            })
-            .clone()
-    };
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
             "--net" => net = true,
             "--budget-secs" => {
                 let v = take_value(&mut it, "--budget-secs");
-                budget_secs = Some(v.parse().unwrap_or_else(|e| {
-                    eprintln!("--budget-secs: {e}");
-                    std::process::exit(2);
-                }));
+                budget_secs = Some(
+                    v.parse()
+                        .unwrap_or_else(|e| usage_error(&format!("--budget-secs: {e}"))),
+                );
             }
             "--seed" => {
-                let v = take_value(&mut it, "--seed");
-                // Decimal by default; hex only behind an explicit 0x
-                // prefix — otherwise every digits-only decimal seed
-                // would silently parse as hex.
-                let parsed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-                    Some(hex) => u64::from_str_radix(hex, 16),
-                    None => v.parse(),
-                };
-                seed = parsed.unwrap_or_else(|e| {
-                    eprintln!("--seed (decimal, or hex with 0x prefix): {e}");
-                    std::process::exit(2);
-                });
+                seed =
+                    parse_seed(&take_value(&mut it, "--seed")).unwrap_or_else(|e| usage_error(&e));
             }
             "--out-dir" => out_dir = PathBuf::from(take_value(&mut it, "--out-dir")),
             "--no-scrubber" => scrubber = false,
@@ -118,15 +104,11 @@ fn main() {
                 println!("  --no-scrubber  contrast run without the background scrubber");
                 return;
             }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument '{other}'")),
         }
     }
     if quick && budget_secs.is_some() {
-        eprintln!("--quick and --budget-secs are mutually exclusive");
-        std::process::exit(2);
+        usage_error("--quick and --budget-secs are mutually exclusive");
     }
     let mut cfg = match budget_secs {
         Some(secs) => CampaignConfig::soak(seed, Duration::from_secs(secs)),
@@ -205,25 +187,33 @@ fn main() {
     }
 }
 
+/// Writes one phase's report to `path`, then exits 1 naming every
+/// broken invariant in `problems`, if any.
+fn finish_phase(phase: &str, path: &Path, json: String, problems: Vec<String>) {
+    std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+    println!("wrote {}", path.display());
+    if !problems.is_empty() {
+        eprintln!("{phase} UNHEALTHY: {}", problems.join(", "));
+        std::process::exit(1);
+    }
+}
+
 /// The network phase: a live loopback `twod-server` under fault storm
 /// and administrative quarantine, hammered by clients that kill and
 /// re-establish their connections mid-storm. Exits nonzero on any
-/// wrong read, lost acknowledged write, failed final audit, or if
-/// degradation was never entered/exited (the shed path went untested).
-fn run_net_phase(seed: u64, out_dir: &std::path::Path) {
-    let cfg = NetChaosConfig::quick(seed);
-    println!(
-        "net phase: {} client(s) x {} ops, kill every {}, {} injection(s), {} bank(s)",
-        cfg.clients, cfg.ops_per_client, cfg.kill_every, cfg.storm_injections, cfg.banks,
-    );
-    let r = run_net_chaos(&cfg);
+/// wrong read, lost acknowledged write, uncorrectable event, failed
+/// final audit, or if degradation was never entered/exited (the shed
+/// path went untested).
+fn run_net_phase(seed: u64, out_dir: &Path) {
+    println!("net phase: clients killed and reconnected under fault storm and quarantine");
+    let r = run_net_chaos(seed);
     println!(
         "  {} ops, {} acked write(s), {} verified read(s) mid-run, {} readback-checked",
         r.ops, r.acked_writes, r.verified_reads, r.readback_checked,
     );
     println!(
-        "  sheds: {} busy, {} degraded; {} fault(s), {} gave up after retries",
-        r.busy_sheds, r.degraded_sheds, r.faults, r.gave_up,
+        "  sheds after retries: {} busy, {} degraded; {} fault(s), {} uncorrectable event(s)",
+        r.busy_sheds, r.degraded_sheds, r.faults, r.uncorrectable_events,
     );
     println!(
         "  {} reconnect(s) ({} with immediate readback), {} injection(s), \
@@ -243,58 +233,12 @@ fn run_net_phase(seed: u64, out_dir: &std::path::Path) {
         r.server_stats.protocol_errors,
         r.server_stats.connections_reaped,
     );
-
-    let report_path = out_dir.join("net_chaos_report.json");
-    let json = format!(
-        "{{\n  \"schema\": \"twod-repro/net-chaos-v1\",\n  \"seed\": {seed},\n  \
-         \"ops\": {},\n  \"acked_writes\": {},\n  \"verified_reads\": {},\n  \
-         \"wrong_reads\": {},\n  \"lost_acked_writes\": {},\n  \"readback_checked\": {},\n  \
-         \"busy_sheds\": {},\n  \"degraded_sheds\": {},\n  \"faults\": {},\n  \
-         \"gave_up\": {},\n  \"reconnects\": {},\n  \"injections\": {},\n  \
-         \"degraded_observed\": {},\n  \"degraded_cleared\": {},\n  \"final_audit\": {}\n}}\n",
-        r.ops,
-        r.acked_writes,
-        r.verified_reads,
-        r.wrong_reads,
-        r.lost_acked_writes,
-        r.readback_checked,
-        r.busy_sheds,
-        r.degraded_sheds,
-        r.faults,
-        r.gave_up,
-        r.reconnects,
-        r.injections,
-        r.degraded_observed,
-        r.degraded_cleared,
-        r.final_audit,
+    finish_phase(
+        "net phase",
+        &out_dir.join("net_chaos_report.json"),
+        r.to_json(seed),
+        r.problems(),
     );
-    std::fs::write(&report_path, json)
-        .unwrap_or_else(|e| panic!("writing {}: {e}", report_path.display()));
-    println!("wrote {}", report_path.display());
-
-    let mut unhealthy = Vec::new();
-    if r.wrong_reads > 0 {
-        unhealthy.push(format!("{} wrong read(s)", r.wrong_reads));
-    }
-    if r.lost_acked_writes > 0 {
-        unhealthy.push(format!(
-            "{} lost acknowledged write(s)",
-            r.lost_acked_writes
-        ));
-    }
-    if !r.degraded_observed {
-        unhealthy.push("degraded mode never observed over HEALTH".to_string());
-    }
-    if !r.degraded_cleared {
-        unhealthy.push("degradation never cleared after the storm".to_string());
-    }
-    if !r.final_audit {
-        unhealthy.push("final audit failed".to_string());
-    }
-    if !unhealthy.is_empty() {
-        eprintln!("net phase UNHEALTHY: {}", unhealthy.join(", "));
-        std::process::exit(1);
-    }
     println!("net phase healthy: read-your-writes held across kills, storm, and quarantine");
 
     run_shard_phase(seed, out_dir);
@@ -302,85 +246,30 @@ fn run_net_phase(seed: u64, out_dir: &std::path::Path) {
 
 /// The shard-kill phase: two loopback servers behind a sharded client
 /// fleet; one server is shut down mid-storm and later restarted (same
-/// cache, fresh port). Exits nonzero on any wrong read or lost acked
-/// write while a shard is down, if the survivor served nothing during
+/// cache, fresh port). Exits nonzero on any wrong read, lost acked
+/// write or uncorrectable event, if the survivor served nothing during
 /// the outage, or if the victim never came back.
-fn run_shard_phase(seed: u64, out_dir: &std::path::Path) {
-    let cfg = ShardChaosConfig::quick(seed);
-    println!(
-        "shard phase: 2 shards, {} client(s) x {} batch(es) of {}, victim down from {:.0}% to {:.0}% progress",
-        cfg.clients,
-        cfg.batches_per_client,
-        cfg.batch_depth,
-        cfg.kill_at_fraction * 100.0,
-        cfg.restart_at_fraction * 100.0,
-    );
-    let r = run_shard_chaos(&cfg);
+fn run_shard_phase(seed: u64, out_dir: &Path) {
+    println!("shard phase: 2 shards, one killed mid-storm and restarted on a fresh port");
+    let r = run_shard_chaos(seed);
     println!(
         "  {} ops, {} acked write(s) ({} during outage), {} verified read(s), {} readback-checked",
         r.ops, r.acked_writes, r.survivor_acked_during_outage, r.verified_reads, r.readback_checked,
     );
     println!(
-        "  {} shard-down slot(s), {} gave up, {} fault(s), {} lazy re-dial(s), \
-         {} injection(s), victim restarted {}, final audit {}",
-        r.shard_down_slots,
-        r.gave_up,
-        r.faults,
-        r.reconnects,
-        r.injections,
-        r.victim_restarted,
-        r.final_audit,
+        "  {} shard-down slot(s), sheds after retries: {} busy, {} degraded; {} fault(s), \
+         {} uncorrectable event(s)",
+        r.shard_down_slots, r.busy_sheds, r.degraded_sheds, r.faults, r.uncorrectable_events,
     );
-
-    let report_path = out_dir.join("shard_chaos_report.json");
-    let json = format!(
-        "{{\n  \"schema\": \"twod-repro/shard-chaos-v1\",\n  \"seed\": {seed},\n  \
-         \"ops\": {},\n  \"acked_writes\": {},\n  \"verified_reads\": {},\n  \
-         \"wrong_reads\": {},\n  \"lost_acked_writes\": {},\n  \"readback_checked\": {},\n  \
-         \"shard_down_slots\": {},\n  \"survivor_acked_during_outage\": {},\n  \
-         \"gave_up\": {},\n  \"faults\": {},\n  \"reconnects\": {},\n  \"injections\": {},\n  \
-         \"victim_restarted\": {},\n  \"final_audit\": {}\n}}\n",
-        r.ops,
-        r.acked_writes,
-        r.verified_reads,
-        r.wrong_reads,
-        r.lost_acked_writes,
-        r.readback_checked,
-        r.shard_down_slots,
-        r.survivor_acked_during_outage,
-        r.gave_up,
-        r.faults,
-        r.reconnects,
-        r.injections,
-        r.victim_restarted,
-        r.final_audit,
+    println!(
+        "  {} lazy re-dial(s), {} injection(s), victim restarted {}, final audit {}",
+        r.reconnects, r.injections, r.victim_restarted, r.final_audit,
     );
-    std::fs::write(&report_path, json)
-        .unwrap_or_else(|e| panic!("writing {}: {e}", report_path.display()));
-    println!("wrote {}", report_path.display());
-
-    let mut unhealthy = Vec::new();
-    if r.wrong_reads > 0 {
-        unhealthy.push(format!("{} wrong read(s)", r.wrong_reads));
-    }
-    if r.lost_acked_writes > 0 {
-        unhealthy.push(format!(
-            "{} lost acknowledged write(s)",
-            r.lost_acked_writes
-        ));
-    }
-    if r.survivor_acked_during_outage == 0 {
-        unhealthy.push("survivor shard served no writes during the outage".to_string());
-    }
-    if !r.victim_restarted {
-        unhealthy.push("victim shard never restarted".to_string());
-    }
-    if !r.final_audit {
-        unhealthy.push("final audit failed".to_string());
-    }
-    if !unhealthy.is_empty() {
-        eprintln!("shard phase UNHEALTHY: {}", unhealthy.join(", "));
-        std::process::exit(1);
-    }
+    finish_phase(
+        "shard phase",
+        &out_dir.join("shard_chaos_report.json"),
+        r.to_json(seed),
+        r.problems(),
+    );
     println!("shard phase healthy: the fleet kept serving through a shard kill and restart");
 }

@@ -25,9 +25,7 @@
 //! and the Chien search).
 
 use bench::{alloc_counter, bench_json};
-use cachesim::{
-    generate_ops, run_campaign, run_traffic, AccessPattern, CampaignConfig, Op, TrafficConfig,
-};
+use cachesim::{generate_ops, run_campaign, run_traffic, CampaignConfig, Op, TrafficConfig};
 use ecc::{Bch, Bits, Code, CodeKind, Edc, Secded};
 use memarray::{ErrorShape, TwoDArray, TwoDConfig};
 use std::hint::black_box;
@@ -333,7 +331,7 @@ fn service_samples(quick: bool, filter: &Option<String>) -> Vec<Sample> {
         ops_per_thread: total_ops / threads as u64,
         write_fraction: 0.3,
         lines: 4_096,
-        pattern: AccessPattern::Zipf(1.0),
+        zipf_theta: 1.0,
         seed: 0x5EED_5EED,
         // Both paths do identical per-op work; correctness is covered by
         // the stress suites, not the throughput bench.
@@ -395,7 +393,7 @@ fn service_samples(quick: bool, filter: &Option<String>) -> Vec<Sample> {
         ops_per_thread: total_ops / threads as u64,
         write_fraction: 0.1,
         lines: 1_024,
-        pattern: AccessPattern::Zipf(1.1),
+        zipf_theta: 1.1,
         seed: 0x5EED_21F0,
         verify: false,
     };

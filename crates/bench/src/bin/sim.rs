@@ -23,6 +23,7 @@
 //! correct.
 
 use bench::bench_json::{self, BenchRow};
+use bench::{parse_count, parse_seed, take_value, usage_error};
 use cachesim::{run_sim_campaign, SimCampaignConfig, SimCampaignOutcome};
 use std::path::PathBuf;
 
@@ -93,37 +94,16 @@ fn main() {
     let mut seed = DEFAULT_SEED;
     let mut out_dir = PathBuf::from("target/sim");
     let mut it = args.iter();
-    let take_value = |it: &mut std::slice::Iter<'_, String>, flag: &str| -> String {
-        it.next()
-            .filter(|v| !v.starts_with("--"))
-            .unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                std::process::exit(2);
-            })
-            .clone()
-    };
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => rounds = None,
             "--rounds" => {
-                let v = take_value(&mut it, "--rounds");
-                rounds = Some(v.parse().unwrap_or_else(|e| {
-                    eprintln!("--rounds: {e}");
-                    std::process::exit(2);
-                }));
+                // Zero rounds would inject nothing yet report healthy.
+                rounds = Some(parse_count(&take_value(&mut it, "--rounds"), "--rounds"));
             }
             "--seed" => {
-                let v = take_value(&mut it, "--seed");
-                // Decimal by default; hex only behind an explicit 0x
-                // prefix.
-                let parsed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-                    Some(hex) => u64::from_str_radix(hex, 16),
-                    None => v.parse(),
-                };
-                seed = parsed.unwrap_or_else(|e| {
-                    eprintln!("--seed (decimal, or hex with 0x prefix): {e}");
-                    std::process::exit(2);
-                });
+                seed =
+                    parse_seed(&take_value(&mut it, "--seed")).unwrap_or_else(|e| usage_error(&e));
             }
             "--out-dir" => out_dir = PathBuf::from(take_value(&mut it, "--out-dir")),
             "--help" | "-h" => {
@@ -135,10 +115,7 @@ fn main() {
                 println!("  --out-dir  artifact directory (default target/sim)");
                 return;
             }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument '{other}'")),
         }
     }
 

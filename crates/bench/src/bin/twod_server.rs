@@ -11,6 +11,7 @@
 //! degraded-mode contracts are documented in the README's "Network
 //! service" section.
 
+use bench::{parse_count, take_value, usage_error};
 use cachesim::net::{CacheServer, ServerConfig};
 use std::sync::Arc;
 use std::time::Duration;
@@ -25,43 +26,19 @@ fn main() {
     let mut scrubber_on = true;
     let mut heartbeat_secs = 5u64;
     let mut it = args.iter();
-    let take_value = |it: &mut std::slice::Iter<'_, String>, flag: &str| -> String {
-        it.next()
-            .filter(|v| !v.starts_with("--"))
-            .unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                std::process::exit(2);
-            })
-            .clone()
-    };
-    // Bank count and per-bank geometry: zero of any of them is no cache.
-    let parse_count = |v: String, flag: &str| -> usize {
-        match v.parse() {
-            Ok(0) => {
-                eprintln!("{flag} must be at least 1");
-                std::process::exit(2);
-            }
-            Ok(n) => n,
-            Err(e) => {
-                eprintln!("{flag}: {e}");
-                std::process::exit(2);
-            }
-        }
-    };
     while let Some(a) = it.next() {
         match a.as_str() {
             "--addr" => addr = take_value(&mut it, "--addr"),
-            "--banks" => banks = parse_count(take_value(&mut it, "--banks"), "--banks"),
-            "--sets" => sets = parse_count(take_value(&mut it, "--sets"), "--sets"),
-            "--ways" => ways = parse_count(take_value(&mut it, "--ways"), "--ways"),
+            // Bank count and per-bank geometry: zero of any of them is
+            // no cache.
+            "--banks" => banks = parse_count(&take_value(&mut it, "--banks"), "--banks"),
+            "--sets" => sets = parse_count(&take_value(&mut it, "--sets"), "--sets"),
+            "--ways" => ways = parse_count(&take_value(&mut it, "--ways"), "--ways"),
             "--no-scrubber" => scrubber_on = false,
             "--heartbeat-secs" => {
                 heartbeat_secs = take_value(&mut it, "--heartbeat-secs")
                     .parse()
-                    .unwrap_or_else(|e| {
-                        eprintln!("--heartbeat-secs: {e}");
-                        std::process::exit(2);
-                    });
+                    .unwrap_or_else(|e| usage_error(&format!("--heartbeat-secs: {e}")));
             }
             "--help" | "-h" => {
                 println!(
@@ -70,10 +47,7 @@ fn main() {
                 );
                 return;
             }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument '{other}'")),
         }
     }
 

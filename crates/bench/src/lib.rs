@@ -10,6 +10,49 @@
 pub mod alloc_counter;
 pub mod bench_json;
 
+/// Bad command-line input: prints `message` as one line and exits 2.
+pub fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
+}
+
+/// Takes the value following `flag`; a missing value (or another flag
+/// in its place) is a [`usage_error`].
+pub fn take_value(args: &mut std::slice::Iter<'_, String>, flag: &str) -> String {
+    match args.next() {
+        Some(value) if !value.starts_with("--") => value.clone(),
+        _ => usage_error(&format!("{flag} needs a value")),
+    }
+}
+
+/// Parses `value` as a count of at least one for `flag`; zero or a
+/// non-number is a [`usage_error`].
+pub fn parse_count(value: &str, flag: &str) -> usize {
+    match value.parse() {
+        Ok(0) => usage_error(&format!("{flag} must be at least 1")),
+        Ok(n) => n,
+        Err(e) => usage_error(&format!("{flag}: {e}")),
+    }
+}
+
+/// Parses a `--seed` value: decimal by default, hex only behind an
+/// explicit `0x` prefix — otherwise every digits-only decimal seed would
+/// silently parse as hex.
+///
+/// # Errors
+///
+/// A one-line message naming the flag and the parse failure.
+pub fn parse_seed(value: &str) -> Result<u64, String> {
+    match value
+        .strip_prefix("0x")
+        .or_else(|| value.strip_prefix("0X"))
+    {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => value.parse(),
+    }
+    .map_err(|e| format!("--seed (decimal, or hex with 0x prefix): {e}"))
+}
+
 /// Prints a section header.
 pub fn header(title: &str) {
     println!();
@@ -51,6 +94,15 @@ mod tests {
         assert_eq!(bar(10.0, 10.0, 10).len(), 10);
         assert_eq!(bar(0.0, 10.0, 10).len(), 0);
         assert_eq!(bar(1.0, 0.0, 10).len(), 0);
+    }
+
+    #[test]
+    fn seeds_parse_decimal_or_prefixed_hex() {
+        assert_eq!(parse_seed("10"), Ok(10));
+        assert_eq!(parse_seed("0x10"), Ok(16));
+        assert_eq!(parse_seed("0X1f"), Ok(31));
+        assert!(parse_seed("0x").is_err());
+        assert!(parse_seed("1f").is_err());
     }
 
     #[test]

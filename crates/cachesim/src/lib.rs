@@ -69,10 +69,7 @@ pub use service::campaign::{
 };
 pub use service::net;
 pub use service::net::{CacheServer, NetClient, ServerConfig, ServerError, ServerStats};
-pub use service::{
-    generate_ops, replay_ops, run_traffic, run_traffic_with_storm, AccessPattern, FaultStorm, Op,
-    ServiceReport, TrafficConfig,
-};
+pub use service::{generate_ops, replay_ops, run_traffic, Op, ServiceReport, TrafficConfig};
 pub use sim::{run_sim, Simulation};
 pub use stats::{ipc_loss_percent, AccessMix, SimStats};
-pub use workload::{HotSetSampler, WorkloadProfile, ZipfSampler};
+pub use workload::{WorkloadProfile, ZipfSampler};

@@ -1,17 +1,14 @@
 //! Multi-threaded traffic driver for the concurrent sharded cache
 //! service.
 //!
-//! The ROADMAP's north star is serving heavy traffic from many clients
-//! as fast as the hardware allows; this module is the harness that
-//! measures it. Worker threads replay seeded, pre-generated access
-//! streams (uniform, Zipf, or hot-set popularity — see
-//! [`crate::ZipfSampler`] / [`crate::HotSetSampler`]) against a shared
-//! [`ConcurrentBankedCache`], optionally while a fault-storm thread
-//! injects clustered errors into live banks. The driver reports
-//! throughput (ops/sec), verifies read-your-writes per address along the
-//! way, and is deterministic per `(seed, threads)` in the streams it
-//! offers (the interleaving across threads is, of course, up to the
-//! scheduler).
+//! Worker threads replay seeded, pre-generated Zipf-popularity access
+//! streams (see [`crate::ZipfSampler`]) against a shared
+//! [`ConcurrentBankedCache`]. The driver reports throughput (ops/sec),
+//! verifies read-your-writes per address along the way, and is
+//! deterministic per `(seed, threads)` in the streams it offers (the
+//! interleaving across threads is, of course, up to the scheduler).
+//! Faults under live traffic are the job of [`campaign`], which replays
+//! the same streams through [`replay_ops`].
 //!
 //! Address ownership: each thread *writes* only lines it owns (a hashed
 //! partition of the line space) but *reads* every line. Owned reads are
@@ -22,30 +19,12 @@
 pub mod campaign;
 pub mod net;
 
-use crate::{HotSetSampler, ZipfSampler};
+use crate::ZipfSampler;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 use twod_cache::{ConcurrentBankedCache, LINE_BYTES};
-
-/// Popularity model for generated traffic.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum AccessPattern {
-    /// Every line equally likely.
-    Uniform,
-    /// Zipf-distributed line popularity with the given exponent
-    /// (`1.0` = classic Zipf).
-    Zipf(f64),
-    /// `hot_fraction` of the lines receive `hot_prob` of the accesses.
-    HotSet {
-        /// Fraction of the line space that is hot (e.g. `0.1`).
-        hot_fraction: f64,
-        /// Probability an access targets the hot set (e.g. `0.9`).
-        hot_prob: f64,
-    },
-}
 
 /// Configuration of one traffic run.
 #[derive(Clone, Copy, Debug)]
@@ -58,8 +37,9 @@ pub struct TrafficConfig {
     pub write_fraction: f64,
     /// Distinct cache lines the traffic touches.
     pub lines: u64,
-    /// Popularity model over those lines.
-    pub pattern: AccessPattern,
+    /// Zipf exponent of line popularity (`1.0` = classic Zipf, `0.0` =
+    /// uniform).
+    pub zipf_theta: f64,
     /// Master seed; worker `t` derives its stream from `(seed, t)`.
     pub seed: u64,
     /// Verify read-your-writes on owned addresses during the replay.
@@ -77,7 +57,7 @@ impl TrafficConfig {
             ops_per_thread: 2_000,
             write_fraction: 0.3,
             lines: 256,
-            pattern: AccessPattern::Zipf(1.0),
+            zipf_theta: 1.0,
             seed: 0xC0FFEE,
             verify: true,
         }
@@ -91,21 +71,6 @@ pub enum Op {
     Read(u64),
     /// Write the value to the aligned 64-bit word at the address.
     Write(u64, u64),
-}
-
-/// Fault-storm side-load: while workers run, an injector thread fires
-/// clustered errors into the given banks, exercising recovery under
-/// live traffic.
-#[derive(Clone, Debug)]
-pub struct FaultStorm {
-    /// Banks to target, round-robin.
-    pub banks: Vec<usize>,
-    /// Total injections across the run.
-    pub injections: usize,
-    /// Cluster height and width per injection.
-    pub cluster: (usize, usize),
-    /// Injector RNG seed (cluster positions).
-    pub seed: u64,
 }
 
 /// Outcome of one traffic run.
@@ -123,8 +88,6 @@ pub struct ServiceReport {
     pub verified_reads: u64,
     /// Wall-clock time of the replay phase (generation excluded).
     pub elapsed: Duration,
-    /// Fault injections fired during the run.
-    pub injections: usize,
 }
 
 impl ServiceReport {
@@ -180,29 +143,9 @@ pub fn generate_ops(cfg: &TrafficConfig, thread: usize) -> Vec<Op> {
         cfg.seed
             .wrapping_add((thread as u64).wrapping_mul(0xA076_1D64_78BD_642F)),
     );
-    let zipf = match cfg.pattern {
-        AccessPattern::Zipf(theta) => Some(ZipfSampler::new(cfg.lines as usize, theta)),
-        _ => None,
-    };
-    let hot = match cfg.pattern {
-        AccessPattern::HotSet {
-            hot_fraction,
-            hot_prob,
-        } => {
-            let hot_lines =
-                ((cfg.lines as f64 * hot_fraction) as usize).clamp(1, cfg.lines as usize - 1);
-            Some(HotSetSampler::new(cfg.lines as usize, hot_lines, hot_prob))
-        }
-        _ => None,
-    };
+    let zipf = ZipfSampler::new(cfg.lines as usize, cfg.zipf_theta);
     let mut ops = Vec::with_capacity(cfg.ops_per_thread as usize);
-    let sample_line = |rng: &mut StdRng| -> u64 {
-        match (&zipf, &hot) {
-            (Some(z), _) => z.sample(rng) as u64,
-            (_, Some(h)) => h.sample(rng) as u64,
-            _ => rng.gen_range(0..cfg.lines),
-        }
-    };
+    let sample_line = |rng: &mut StdRng| zipf.sample(rng) as u64;
     for _ in 0..cfg.ops_per_thread {
         let is_write = rng.gen_bool(cfg.write_fraction);
         if is_write {
@@ -236,8 +179,9 @@ pub fn generate_ops(cfg: &TrafficConfig, thread: usize) -> Vec<Op> {
 }
 
 /// Replays one pre-generated stream against the shared cache, verifying
-/// read-your-writes on owned addresses when `verify` is set. Returns
-/// `(reads, writes, verified_reads)`.
+/// read-your-writes on owned addresses when `verify` is set and pushing
+/// each operation's latency in nanoseconds onto `latencies` when given.
+/// Returns `(reads, writes, verified_reads)`.
 ///
 /// # Panics
 ///
@@ -250,15 +194,24 @@ pub fn replay_ops(
     thread: usize,
     threads: usize,
     verify: bool,
+    mut latencies: Option<&mut Vec<u64>>,
 ) -> (u64, u64, u64) {
     let mut model: HashMap<u64, u64> = HashMap::new();
     let (mut reads, mut writes, mut verified) = (0u64, 0u64, 0u64);
+    let timed = latencies.is_some();
+    let mut lap = |begun: Option<Instant>| {
+        if let (Some(latencies), Some(begun)) = (latencies.as_deref_mut(), begun) {
+            latencies.push(begun.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+        }
+    };
     for op in ops {
+        let begun = timed.then(Instant::now);
         match *op {
             Op::Write(addr, value) => {
                 cache
                     .write(addr, value)
                     .expect("write defeated the protection");
+                lap(begun);
                 if verify {
                     model.insert(addr, value);
                 }
@@ -266,6 +219,7 @@ pub fn replay_ops(
             }
             Op::Read(addr) => {
                 let got = cache.read(addr).expect("read defeated the protection");
+                lap(begun);
                 reads += 1;
                 if verify {
                     let line = addr / LINE_BYTES as u64;
@@ -290,110 +244,36 @@ pub fn replay_ops(
 /// region; a barrier lines the workers up so the clock measures pure
 /// replay.
 pub fn run_traffic(cache: &ConcurrentBankedCache, cfg: &TrafficConfig) -> ServiceReport {
-    run_traffic_with_storm(cache, cfg, None)
-}
-
-/// [`run_traffic`] with an optional concurrent fault storm: an injector
-/// thread fires `storm.injections` clustered errors into the configured
-/// banks while the workers run. All reads still verify, proving
-/// recovery-under-load never serves wrong data and one bank's recovery
-/// does not block traffic to siblings.
-pub fn run_traffic_with_storm(
-    cache: &ConcurrentBankedCache,
-    cfg: &TrafficConfig,
-    storm: Option<&FaultStorm>,
-) -> ServiceReport {
     assert!(cfg.threads >= 1, "need at least one worker");
     let streams: Vec<Vec<Op>> = (0..cfg.threads).map(|t| generate_ops(cfg, t)).collect();
-    // Workers + optionally the injector all start together.
-    let parties = cfg.threads + usize::from(storm.is_some());
-    let barrier = Barrier::new(parties);
-    let done = AtomicBool::new(false);
+    let barrier = Barrier::new(cfg.threads);
     let mut report = ServiceReport {
         threads: cfg.threads,
         ..Default::default()
     };
-    let mut injections_fired = 0usize;
     std::thread::scope(|s| {
-        let mut workers = Vec::with_capacity(cfg.threads);
-        for (t, ops) in streams.iter().enumerate() {
-            let barrier = &barrier;
-            let done = &done;
-            let threads = cfg.threads;
-            let verify = cfg.verify;
-            workers.push(s.spawn(move || {
-                barrier.wait();
-                let started = Instant::now();
-                let counts = replay_ops(cache, ops, t, threads, verify);
-                let elapsed = started.elapsed();
-                done.store(true, Ordering::Release);
-                (counts, elapsed)
-            }));
-        }
-        let injector = storm.map(|storm| {
-            let barrier = &barrier;
-            let done = &done;
-            s.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(storm.seed);
-                let mut fired = 0usize;
-                barrier.wait();
-                for i in 0..storm.injections {
-                    if done.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let bank = storm.banks[i % storm.banks.len()];
-                    let (height, width) = storm.cluster;
-                    // One live clustered event per bank at a time — the
-                    // paper's error model (recovery happens between
-                    // multi-bit events). Scrubbing the target bank before
-                    // re-injuring it keeps each injection within the
-                    // scheme's H x V coverage; without this, back-to-back
-                    // clusters landing in the same stripes are
-                    // legitimately uncorrectable.
-                    cache
-                        .lock_bank(bank)
-                        .scrub()
-                        .expect("pre-injection scrub found uncorrectable damage");
-                    // Lock the bank just long enough to place the
-                    // cluster at a random in-bounds position.
-                    {
-                        let guard = cache.lock_bank(bank);
-                        let rows = guard.data_array().rows();
-                        let cols = guard.data_array().cols();
-                        drop(guard);
-                        let row = rng.gen_range(0..rows.saturating_sub(height).max(1));
-                        let col = rng.gen_range(0..cols.saturating_sub(width).max(1));
-                        cache.inject_bank_error(
-                            bank,
-                            memarray::ErrorShape::Cluster {
-                                row,
-                                col,
-                                height,
-                                width,
-                            },
-                        );
-                    }
-                    fired += 1;
-                    std::thread::yield_now();
-                }
-                fired
+        let workers: Vec<_> = streams
+            .iter()
+            .enumerate()
+            .map(|(t, ops)| {
+                let barrier = &barrier;
+                s.spawn(move || {
+                    barrier.wait();
+                    let started = Instant::now();
+                    let counts = replay_ops(cache, ops, t, cfg.threads, cfg.verify, None);
+                    (counts, started.elapsed())
+                })
             })
-        });
-        let mut max_elapsed = Duration::ZERO;
+            .collect();
         for worker in workers {
             let ((reads, writes, verified), elapsed) = worker.join().expect("worker panicked");
             report.reads += reads;
             report.writes += writes;
             report.verified_reads += verified;
-            max_elapsed = max_elapsed.max(elapsed);
-        }
-        report.elapsed = max_elapsed;
-        if let Some(injector) = injector {
-            injections_fired = injector.join().expect("injector panicked");
+            report.elapsed = report.elapsed.max(elapsed);
         }
     });
     report.total_ops = report.reads + report.writes;
-    report.injections = injections_fired;
     report
 }
 
@@ -471,46 +351,6 @@ mod tests {
         assert_eq!(report.reads + report.writes, report.total_ops);
         assert!(report.verified_reads > 0, "some owned reads must verify");
         assert!(report.ops_per_sec() > 0.0);
-        assert!(cache.audit());
-    }
-
-    #[test]
-    fn hot_set_traffic_hits_cache() {
-        let cache = service(2);
-        let cfg = TrafficConfig {
-            pattern: AccessPattern::HotSet {
-                hot_fraction: 0.1,
-                hot_prob: 0.9,
-            },
-            lines: 64,
-            ..TrafficConfig::smoke()
-        };
-        let report = run_traffic(&cache, &cfg);
-        assert_eq!(report.total_ops, cfg.ops_per_thread * cfg.threads as u64);
-        let stats = cache.stats();
-        // With 90% of traffic on 6-7 hot lines, hits dominate misses.
-        assert!(stats.hit_ratio() > 0.5, "hit ratio {}", stats.hit_ratio());
-    }
-
-    #[test]
-    fn fault_storm_under_load_stays_correct() {
-        let cache = service(4);
-        let cfg = TrafficConfig {
-            threads: 2,
-            ops_per_thread: 1_500,
-            ..TrafficConfig::smoke()
-        };
-        let storm = FaultStorm {
-            banks: vec![1, 3],
-            injections: 8,
-            cluster: (8, 8),
-            seed: 99,
-        };
-        let report = run_traffic_with_storm(&cache, &cfg, Some(&storm));
-        assert_eq!(report.total_ops, cfg.ops_per_thread * cfg.threads as u64);
-        assert!(report.injections > 0, "storm must fire at least once");
-        // Clean up any damage still latent, then audit.
-        cache.scrub().unwrap();
         assert!(cache.audit());
     }
 }

@@ -26,18 +26,57 @@
 //! scrubbed under its lock, so at most one clustered event is live per
 //! bank — the paper's error model (recovery completes between
 //! multi-bit events), and the reason every scenario in the library is
-//! within the scheme's `H x V` coverage.
+//! within the scheme's `H x V` coverage. [`FaultScenario::inject`]
+//! carries that discipline; the network chaos drivers
+//! ([`crate::net::run_net_chaos`], [`crate::net::run_shard_chaos`])
+//! inject through it too, into the same cache fixture.
 
-use crate::service::{generate_ops, owner_of_line, Op, TrafficConfig};
-use crate::AccessPattern;
+use crate::service::{generate_ops, replay_ops, Op, TrafficConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
-use twod_cache::{
-    CacheConfig, ConcurrentBankedCache, Scrubber, ScrubberConfig, TwoDScheme, LINE_BYTES,
-};
+use twod_cache::{CacheConfig, ConcurrentBankedCache, Scrubber, ScrubberConfig, TwoDScheme};
+
+/// Banks of every chaos driver's cache.
+pub(crate) const BANKS: usize = 4;
+
+/// Poll cadence while measuring time-to-repair.
+const MTTR_POLL: Duration = Duration::from_micros(100);
+
+/// The cache every chaos driver runs against: [`BANKS`] small banks so
+/// sweeps and recoveries cycle quickly.
+pub(crate) fn chaos_cache() -> ConcurrentBankedCache {
+    let config = CacheConfig {
+        // 24 sets x 2 ways -> 96-row data banks: three vertical stripe
+        // members per column, so a full-height column strip leaves
+        // *odd* (>= 3) evidence in every stripe and the column-mode
+        // recovery path gets real exercise (with only two members per
+        // column, a transient column strip is either row-mode territory
+        // or genuinely uncorrectable).
+        sets: 24,
+        ways: 2,
+        data_scheme: TwoDScheme::l1_paper(),
+        tag_scheme: TwoDScheme {
+            data_bits: 50,
+            ..TwoDScheme::l1_paper()
+        },
+    };
+    ConcurrentBankedCache::new(config, BANKS)
+}
+
+/// Renders `fields` as a pretty-printed JSON object, one `"key": value`
+/// per line in the given order, with a trailing newline. Values are
+/// already JSON (numbers, booleans, quoted strings, nested arrays), so
+/// equal inputs give byte-identical output.
+pub(crate) fn json_object(fields: &[(&str, String)]) -> String {
+    let body: Vec<String> = fields
+        .iter()
+        .map(|(key, value)| format!("  \"{key}\": {value}"))
+        .collect();
+    format!("{{\n{}\n}}\n", body.join(",\n"))
+}
 
 /// One fault scenario of the campaign library: the shape of damage a
 /// phase injects while traffic runs.
@@ -126,6 +165,91 @@ impl FaultScenario {
             FaultScenario::SilentWriteHeavy,
         ]
     }
+
+    /// Scrubs `bank` clean, then places one injection event of this
+    /// scenario into it at a position drawn from `rng`, and returns the
+    /// number of cells covered. A failed scrub (damage the previous
+    /// event left outside the coverage) is counted in `uncorrectable`.
+    /// Every shape is kept inside the bank and inside the scheme's
+    /// correction coverage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bank` is out of range.
+    pub fn inject(
+        &self,
+        cache: &ConcurrentBankedCache,
+        bank: usize,
+        rng: &mut StdRng,
+        uncorrectable: &AtomicU64,
+    ) -> u64 {
+        let mut guard = cache.lock_bank(bank);
+        if guard.scrub().is_err() {
+            uncorrectable.fetch_add(1, Ordering::Relaxed);
+        }
+        let (rows, cols) = (guard.data_array().rows(), guard.data_array().cols());
+        let vertical = guard.config().data_scheme.vertical_rows.min(rows);
+        let mut place = |row, col, height, width| {
+            guard.inject_data_error(memarray::ErrorShape::Cluster {
+                row,
+                col,
+                height,
+                width,
+            });
+            (height * width) as u64
+        };
+        match *self {
+            FaultScenario::SilentWriteHeavy => 0,
+            FaultScenario::SingleBits { .. } => {
+                let row = rng.gen_range(0..rows);
+                let col = rng.gen_range(0..cols);
+                place(row, col, 1, 1)
+            }
+            FaultScenario::RowStrip { rows: strip } => {
+                let strip = strip.min(vertical).max(1);
+                let row = rng.gen_range(0..=(rows - strip));
+                place(row, 0, strip, cols)
+            }
+            FaultScenario::ColumnStrip { cols: strip } => {
+                // A transient column strip is correctable only if the
+                // vertical code keeps flagging the columns *after* the
+                // row-mode pass repairs single-flagged-row stripes: each
+                // stripe needs an odd member count that row mode cannot
+                // consume. A full-height strip in a bank with an odd
+                // number of stripe members per column satisfies that;
+                // otherwise fall back to a `V`-tall strip (one member
+                // per stripe — plain row-mode coverage).
+                let strip = strip.clamp(1, 2);
+                let stripes = rows / vertical;
+                let height = if rows % vertical == 0 && stripes % 2 == 1 {
+                    rows
+                } else {
+                    vertical
+                };
+                let col = rng.gen_range(0..=(cols - strip));
+                place(0, col, height, strip)
+            }
+            FaultScenario::Rect { height, width } => {
+                let height = height.min(vertical).max(1);
+                let width = width.min(cols).max(1);
+                let row = rng.gen_range(0..=(rows - height));
+                let col = rng.gen_range(0..=(cols - width));
+                place(row, col, height, width)
+            }
+            FaultScenario::LShape { arm, thickness } => {
+                let arm = arm.min(vertical).min(cols).max(2);
+                let thickness = thickness.clamp(1, arm - 1);
+                let row = rng.gen_range(0..=(rows - arm));
+                let col = rng.gen_range(0..=(cols - arm));
+                // A vertical arm x thickness stroke plus a horizontal
+                // thickness x (arm - thickness) stroke, disjoint from it
+                // (shared corner, no overlap — a double flip would
+                // cancel).
+                place(row, col, arm, thickness)
+                    + place(row, col + thickness, thickness, arm - thickness)
+            }
+        }
+    }
 }
 
 /// Configuration of one chaos campaign.
@@ -134,13 +258,6 @@ pub struct CampaignConfig {
     /// Master seed: traffic streams and injection positions derive from
     /// it deterministically.
     pub seed: u64,
-    /// Banks in the service.
-    pub banks: usize,
-    /// Sets per bank (campaign banks are deliberately small so sweeps
-    /// and recoveries cycle quickly).
-    pub sets: usize,
-    /// Associativity per bank.
-    pub ways: usize,
     /// Traffic worker threads.
     pub threads: usize,
     /// Operations per phase, split across the workers.
@@ -161,8 +278,6 @@ pub struct CampaignConfig {
     /// without self-healing (repair then rides on foreground accesses
     /// only — useful as a contrast run).
     pub scrubber: Option<ScrubberConfig>,
-    /// Poll cadence while measuring time-to-repair.
-    pub mttr_poll: Duration,
     /// Give-up horizon per time-to-repair measurement.
     pub mttr_timeout: Duration,
 }
@@ -173,15 +288,6 @@ impl CampaignConfig {
     pub fn quick(seed: u64) -> Self {
         CampaignConfig {
             seed,
-            banks: 4,
-            // 24 sets x 2 ways -> 96-row data banks: three vertical
-            // stripe members per column, so a full-height column strip
-            // leaves *odd* (>= 3) evidence in every stripe and the
-            // column-mode recovery path gets real exercise (with only
-            // two members per column, a transient column strip is
-            // either row-mode territory or genuinely uncorrectable).
-            sets: 24,
-            ways: 2,
             threads: 2,
             ops_per_phase: 4_000,
             write_fraction: 0.3,
@@ -190,7 +296,6 @@ impl CampaignConfig {
             rounds: 1,
             wall_clock_budget: None,
             scrubber: Some(Self::campaign_scrubber()),
-            mttr_poll: Duration::from_micros(100),
             mttr_timeout: Duration::from_millis(250),
         }
     }
@@ -208,9 +313,9 @@ impl CampaignConfig {
         }
     }
 
-    /// The scrubber tuning campaigns run with: fast sweeps, adaptive
-    /// cadence, and accelerated device-time so the FIT estimates from a
-    /// seconds-long run read as field rates.
+    /// The scrubber tuning every chaos driver runs with: fast sweeps,
+    /// adaptive cadence, and accelerated device-time so the FIT
+    /// estimates from a seconds-long run read as field rates.
     pub fn campaign_scrubber() -> ScrubberConfig {
         ScrubberConfig {
             threads: 2,
@@ -223,22 +328,10 @@ impl CampaignConfig {
             time_acceleration: 1000.0 * 3600.0,
         }
     }
-
-    fn cache_config(&self) -> CacheConfig {
-        CacheConfig {
-            sets: self.sets,
-            ways: self.ways,
-            data_scheme: TwoDScheme::l1_paper(),
-            tag_scheme: TwoDScheme {
-                data_bits: 50,
-                ..TwoDScheme::l1_paper()
-            },
-        }
-    }
 }
 
 /// Deterministic result of one phase (one scenario within one round).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PhaseOutcome {
     /// Scenario name.
     pub scenario: String,
@@ -258,7 +351,7 @@ pub struct PhaseOutcome {
 
 /// The deterministic core of a campaign report: equal seeds (and equal
 /// completed rounds) produce bit-identical outcomes.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CampaignOutcome {
     /// Master seed.
     pub seed: u64,
@@ -266,8 +359,6 @@ pub struct CampaignOutcome {
     pub rounds: u32,
     /// Traffic workers.
     pub threads: usize,
-    /// Banks in the service.
-    pub banks: usize,
     /// Whether a background scrubber ran.
     pub scrubbed: bool,
     /// Per-phase outcomes in execution order.
@@ -312,45 +403,38 @@ impl CampaignOutcome {
     /// and booleans only — byte-identical across runs with equal
     /// outcomes, so `diff` is a determinism check).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": \"twod-repro/campaign-v1\",");
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"rounds\": {},", self.rounds);
-        let _ = writeln!(s, "  \"threads\": {},", self.threads);
-        let _ = writeln!(s, "  \"banks\": {},", self.banks);
-        let _ = writeln!(s, "  \"scrubbed\": {},", self.scrubbed);
-        let _ = writeln!(s, "  \"total_reads\": {},", self.total_reads);
-        let _ = writeln!(s, "  \"total_writes\": {},", self.total_writes);
-        let _ = writeln!(s, "  \"verified_reads\": {},", self.verified_reads);
-        let _ = writeln!(s, "  \"injections\": {},", self.injections);
-        let _ = writeln!(s, "  \"cells_injected\": {},", self.cells_injected);
-        let _ = writeln!(s, "  \"lost_writes\": {},", self.lost_writes);
-        let _ = writeln!(
-            s,
-            "  \"unrecoverable_words\": {},",
-            self.unrecoverable_words
-        );
-        let _ = writeln!(
-            s,
-            "  \"uncorrectable_events\": {},",
-            self.uncorrectable_events
-        );
-        let _ = writeln!(s, "  \"final_audit\": {},", self.final_audit);
-        let _ = writeln!(s, "  \"data_checksum\": {},", self.data_checksum);
-        s.push_str("  \"phases\": [\n");
+        let mut phases = String::from("[\n");
         for (i, p) in self.phases.iter().enumerate() {
             let comma = if i + 1 == self.phases.len() { "" } else { "," };
-            let _ = writeln!(
-                s,
+            phases.push_str(&format!(
                 "    {{\"scenario\": \"{}\", \"round\": {}, \"reads\": {}, \"writes\": {}, \
-                 \"verified_reads\": {}, \"injections\": {}, \"cells\": {}}}{comma}",
+                 \"verified_reads\": {}, \"injections\": {}, \"cells\": {}}}{comma}\n",
                 p.scenario, p.round, p.reads, p.writes, p.verified_reads, p.injections, p.cells
-            );
+            ));
         }
-        s.push_str("  ]\n}\n");
-        s
+        phases.push_str("  ]");
+        json_object(&[
+            ("schema", "\"twod-repro/campaign-v1\"".to_string()),
+            ("seed", self.seed.to_string()),
+            ("rounds", self.rounds.to_string()),
+            ("threads", self.threads.to_string()),
+            ("banks", BANKS.to_string()),
+            ("scrubbed", self.scrubbed.to_string()),
+            ("total_reads", self.total_reads.to_string()),
+            ("total_writes", self.total_writes.to_string()),
+            ("verified_reads", self.verified_reads.to_string()),
+            ("injections", self.injections.to_string()),
+            ("cells_injected", self.cells_injected.to_string()),
+            ("lost_writes", self.lost_writes.to_string()),
+            ("unrecoverable_words", self.unrecoverable_words.to_string()),
+            (
+                "uncorrectable_events",
+                self.uncorrectable_events.to_string(),
+            ),
+            ("final_audit", self.final_audit.to_string()),
+            ("data_checksum", self.data_checksum.to_string()),
+            ("phases", phases),
+        ])
     }
 }
 
@@ -410,6 +494,7 @@ pub struct CampaignReport {
 }
 
 /// Per-phase measurement plumbing shared between workers and injector.
+#[derive(Default)]
 struct PhaseClock {
     latencies: Vec<u64>,
     mttr_ns: Vec<u64>,
@@ -427,36 +512,16 @@ struct PhaseClock {
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     assert!(!cfg.scenarios.is_empty(), "campaign needs scenarios");
     assert!(cfg.threads >= 1, "campaign needs a worker");
-    let cache = Arc::new(ConcurrentBankedCache::new(cfg.cache_config(), cfg.banks));
+    let cache = Arc::new(chaos_cache());
     let scrubber = cfg
         .scrubber
         .map(|sc| Scrubber::spawn(Arc::clone(&cache), sc));
-    let geometry = {
-        let bank0 = cache.lock_bank(0);
-        (bank0.data_array().rows(), bank0.data_array().cols())
-    };
-    // Derive coverage from the same config the cache was built with, so
-    // a future parameterized scheme cannot diverge from the injection
-    // clamps.
-    let vertical = cfg.cache_config().data_scheme.vertical_rows.min(geometry.0);
 
     let mut outcome = CampaignOutcome {
         seed: cfg.seed,
-        rounds: 0,
         threads: cfg.threads,
-        banks: cfg.banks,
         scrubbed: scrubber.is_some(),
-        phases: Vec::new(),
-        total_reads: 0,
-        total_writes: 0,
-        verified_reads: 0,
-        injections: 0,
-        cells_injected: 0,
-        lost_writes: 0,
-        unrecoverable_words: 0,
-        uncorrectable_events: 0,
-        final_audit: false,
-        data_checksum: 0,
+        ..CampaignOutcome::default()
     };
     let mut expected: BTreeMap<u64, u64> = BTreeMap::new();
     let mut latencies_sum = 0u128;
@@ -472,30 +537,9 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
 
     let started = Instant::now();
     'rounds: for round in 0..cfg.rounds {
-        for (si, scenario) in cfg.scenarios.iter().enumerate() {
-            let phase_seed = cfg
-                .seed
-                .wrapping_add((round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .wrapping_add((si as u64).wrapping_mul(0xA076_1D64_78BD_642F));
-            // Rotate the injection base bank per phase: with a fixed
-            // base, multi-event scenarios (events() == 2) would only
-            // ever strike banks 0 and 1 and the higher banks would
-            // never see clustered recovery under traffic.
-            let bank_offset = (round as usize)
-                .wrapping_mul(cfg.scenarios.len())
-                .wrapping_add(si);
-            let (phase, clock) = run_phase(
-                &cache,
-                cfg,
-                scenario,
-                round,
-                phase_seed,
-                bank_offset,
-                geometry,
-                vertical,
-                &mut expected,
-                &uncorrectable_events,
-            );
+        for si in 0..cfg.scenarios.len() {
+            let (phase, clock) =
+                run_phase(&cache, cfg, round, si, &mut expected, &uncorrectable_events);
             outcome.total_reads += phase.reads;
             outcome.total_writes += phase.writes;
             outcome.verified_reads += phase.verified_reads;
@@ -531,17 +575,12 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
 
     // Quiesce: every bank verified clean before the deterministic
     // readback.
-    match &scrubber {
-        Some(s) => {
-            if s.drain().is_err() {
-                uncorrectable_events.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        None => {
-            if cache.scrub().is_err() {
-                uncorrectable_events.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+    let quiesced = match &scrubber {
+        Some(s) => s.drain(),
+        None => cache.scrub(),
+    };
+    if quiesced.is_err() {
+        uncorrectable_events.fetch_add(1, Ordering::Relaxed);
     }
 
     // Final readback: every committed write must still be there.
@@ -574,13 +613,8 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     let (scrub_row_scan_ns, scrub_rows_scanned, scrub_clean_rows, reliability) = match &scrubber {
         Some(s) => {
             let stats = s.stats();
-            let per_row = if stats.clean_rows_scanned > 0 {
-                stats.clean_busy_ns as f64 / stats.clean_rows_scanned as f64
-            } else {
-                0.0
-            };
             (
-                per_row,
+                mean(stats.clean_busy_ns as f64, stats.clean_rows_scanned),
                 stats.rows_scanned,
                 stats.clean_rows_scanned,
                 Some(s.reliability()),
@@ -596,22 +630,10 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         } else {
             total_ops as f64 / elapsed.as_secs_f64()
         },
-        foreground_mean_ns: if latencies_count == 0 {
-            0.0
-        } else {
-            latencies_sum as f64 / latencies_count as f64
-        },
-        foreground_p99_ns: if phase_p99_count == 0 {
-            0.0
-        } else {
-            phase_p99_sum / phase_p99_count as f64
-        },
+        foreground_mean_ns: mean(latencies_sum as f64, latencies_count),
+        foreground_p99_ns: mean(phase_p99_sum, phase_p99_count),
         foreground_max_ns: latencies_max,
-        mttr_mean_ns: if mttr_count == 0 {
-            0.0
-        } else {
-            mttr_sum as f64 / mttr_count as f64
-        },
+        mttr_mean_ns: mean(mttr_sum as f64, mttr_count),
         mttr_max_ns: mttr_max,
         mttr_samples: mttr_count,
         mttr_timeouts,
@@ -630,29 +652,45 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     }
 }
 
-/// Runs one phase: seeded traffic on the workers, the scenario's
-/// injections (with pre-injection clean discipline and time-to-repair
-/// measurement) on an injector thread.
-#[allow(clippy::too_many_arguments)]
+/// `sum / count`, or zero when nothing was counted.
+fn mean(sum: f64, count: u64) -> f64 {
+    if count == 0 {
+        0.0
+    } else {
+        sum / count as f64
+    }
+}
+
+/// Runs phase `si` of `round`: seeded traffic on the workers, the
+/// scenario's injections (with pre-injection clean discipline and
+/// time-to-repair measurement) on an injector thread.
 fn run_phase(
     cache: &Arc<ConcurrentBankedCache>,
     cfg: &CampaignConfig,
-    scenario: &FaultScenario,
     round: u32,
-    phase_seed: u64,
-    bank_offset: usize,
-    geometry: (usize, usize),
-    vertical: usize,
+    si: usize,
     expected: &mut BTreeMap<u64, u64>,
     uncorrectable_events: &AtomicU64,
 ) -> (PhaseOutcome, PhaseClock) {
+    let scenario = &cfg.scenarios[si];
+    let phase_seed = cfg
+        .seed
+        .wrapping_add((round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .wrapping_add((si as u64).wrapping_mul(0xA076_1D64_78BD_642F));
+    // Rotate the injection base bank per phase: with a fixed base,
+    // multi-event scenarios (events() == 2) would only ever strike banks
+    // 0 and 1 and the higher banks would never see clustered recovery
+    // under traffic.
+    let bank_offset = (round as usize)
+        .wrapping_mul(cfg.scenarios.len())
+        .wrapping_add(si);
     let silent = matches!(scenario, FaultScenario::SilentWriteHeavy);
     let traffic = TrafficConfig {
         threads: cfg.threads,
         ops_per_thread: (cfg.ops_per_phase / cfg.threads as u64).max(1),
         write_fraction: if silent { 0.8 } else { cfg.write_fraction },
         lines: cfg.lines,
-        pattern: AccessPattern::Zipf(1.0),
+        zipf_theta: 1.0,
         seed: phase_seed,
         verify: true,
     };
@@ -685,17 +723,10 @@ fn run_phase(
     let mut phase = PhaseOutcome {
         scenario: scenario.name().to_string(),
         round,
-        reads: 0,
-        writes: 0,
-        verified_reads: 0,
-        injections: 0,
-        cells: 0,
+        injections: events as u64,
+        ..PhaseOutcome::default()
     };
-    let mut clock = PhaseClock {
-        latencies: Vec::new(),
-        mttr_ns: Vec::new(),
-        mttr_timeouts: 0,
-    };
+    let mut clock = PhaseClock::default();
     std::thread::scope(|s| {
         let mut workers = Vec::with_capacity(cfg.threads);
         for (t, ops) in streams.iter().enumerate() {
@@ -703,8 +734,10 @@ fn run_phase(
             let cache = &**cache;
             let threads = cfg.threads;
             workers.push(s.spawn(move || {
+                let mut latencies = Vec::with_capacity(ops.len());
                 barrier.wait();
-                replay_timed(cache, ops, t, threads)
+                let counts = replay_ops(cache, ops, t, threads, true, Some(&mut latencies));
+                (counts, latencies)
             }));
         }
         let injector = (events > 0).then(|| {
@@ -712,20 +745,13 @@ fn run_phase(
             let cache = &**cache;
             s.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(phase_seed ^ 0x001A_7EC7_EDFA_1775);
-                let mut fired = 0u64;
                 let mut cells = 0u64;
                 let mut mttr_ns = Vec::with_capacity(events);
                 let mut timeouts = 0u64;
                 barrier.wait();
                 for k in 0..events {
-                    let bank = (bank_offset + k) % cfg.banks;
-                    // Clean discipline: at most one live clustered event
-                    // per bank, so every injection is within coverage.
-                    if cache.lock_bank(bank).scrub().is_err() {
-                        uncorrectable_events.fetch_add(1, Ordering::Relaxed);
-                    }
-                    cells += inject_scenario(cache, bank, scenario, geometry, vertical, &mut rng);
-                    fired += 1;
+                    let bank = (bank_offset + k) % BANKS;
+                    cells += scenario.inject(cache, bank, &mut rng, uncorrectable_events);
                     // Time-to-repair: first observation of a clean bank.
                     let injected_at = Instant::now();
                     loop {
@@ -739,183 +765,27 @@ fn run_phase(
                             timeouts += 1;
                             break;
                         }
-                        std::thread::sleep(cfg.mttr_poll);
+                        std::thread::sleep(MTTR_POLL);
                     }
                 }
-                (fired, cells, mttr_ns, timeouts)
+                (cells, mttr_ns, timeouts)
             })
         });
         for worker in workers {
-            let (reads, writes, verified, lat) = worker.join().expect("campaign worker panicked");
+            let ((reads, writes, verified), lat) = worker.join().expect("campaign worker panicked");
             phase.reads += reads;
             phase.writes += writes;
             phase.verified_reads += verified;
             clock.latencies.extend(lat);
         }
         if let Some(injector) = injector {
-            let (fired, cells, mttr_ns, timeouts) =
-                injector.join().expect("campaign injector panicked");
-            phase.injections = fired;
+            let (cells, mttr_ns, timeouts) = injector.join().expect("campaign injector panicked");
             phase.cells = cells;
             clock.mttr_ns = mttr_ns;
             clock.mttr_timeouts = timeouts;
         }
     });
     (phase, clock)
-}
-
-/// Places one injection event of `scenario` into `bank` at a seeded
-/// position, returning the number of cells covered. Every shape is kept
-/// inside the bank and inside the scheme's correction coverage.
-fn inject_scenario(
-    cache: &ConcurrentBankedCache,
-    bank: usize,
-    scenario: &FaultScenario,
-    (rows, cols): (usize, usize),
-    vertical: usize,
-    rng: &mut StdRng,
-) -> u64 {
-    use memarray::ErrorShape;
-    match *scenario {
-        FaultScenario::SilentWriteHeavy => 0,
-        FaultScenario::SingleBits { .. } => {
-            let row = rng.gen_range(0..rows);
-            let col = rng.gen_range(0..cols);
-            cache.inject_bank_error(bank, ErrorShape::Single { row, col });
-            1
-        }
-        FaultScenario::RowStrip { rows: strip } => {
-            let strip = strip.min(vertical).max(1);
-            let row = rng.gen_range(0..=(rows - strip));
-            cache.inject_bank_error(
-                bank,
-                ErrorShape::Cluster {
-                    row,
-                    col: 0,
-                    height: strip,
-                    width: cols,
-                },
-            );
-            (strip * cols) as u64
-        }
-        FaultScenario::ColumnStrip { cols: strip } => {
-            // A transient column strip is correctable only if the
-            // vertical code keeps flagging the columns *after* the
-            // row-mode pass repairs single-flagged-row stripes: each
-            // stripe needs an odd member count that row mode cannot
-            // consume. A full-height strip in a bank with an odd number
-            // of stripe members per column satisfies that; otherwise
-            // fall back to a `V`-tall strip (one member per stripe —
-            // plain row-mode coverage).
-            let strip = strip.clamp(1, 2);
-            let stripes = rows / vertical;
-            let height = if rows % vertical == 0 && stripes % 2 == 1 {
-                rows
-            } else {
-                vertical.min(rows)
-            };
-            let col = rng.gen_range(0..=(cols - strip));
-            cache.inject_bank_error(
-                bank,
-                ErrorShape::Cluster {
-                    row: 0,
-                    col,
-                    height,
-                    width: strip,
-                },
-            );
-            (height * strip) as u64
-        }
-        FaultScenario::Rect { height, width } => {
-            let height = height.min(vertical).max(1);
-            let width = width.min(cols).max(1);
-            let row = rng.gen_range(0..=(rows - height));
-            let col = rng.gen_range(0..=(cols - width));
-            cache.inject_bank_error(
-                bank,
-                ErrorShape::Cluster {
-                    row,
-                    col,
-                    height,
-                    width,
-                },
-            );
-            (height * width) as u64
-        }
-        FaultScenario::LShape { arm, thickness } => {
-            let arm = arm.min(vertical).min(cols).max(2);
-            let thickness = thickness.clamp(1, arm - 1);
-            let row = rng.gen_range(0..=(rows - arm));
-            let col = rng.gen_range(0..=(cols - arm));
-            // Vertical stroke: arm x thickness.
-            cache.inject_bank_error(
-                bank,
-                ErrorShape::Cluster {
-                    row,
-                    col,
-                    height: arm,
-                    width: thickness,
-                },
-            );
-            // Horizontal stroke: thickness x (arm - thickness), disjoint
-            // from the vertical stroke (shared corner, no overlap — a
-            // double flip would cancel).
-            cache.inject_bank_error(
-                bank,
-                ErrorShape::Cluster {
-                    row,
-                    col: col + thickness,
-                    height: thickness,
-                    width: arm - thickness,
-                },
-            );
-            (arm * thickness + thickness * (arm - thickness)) as u64
-        }
-    }
-}
-
-/// [`crate::replay_ops`] with per-operation latency capture (always
-/// verifying): returns `(reads, writes, verified, latencies_ns)`.
-fn replay_timed(
-    cache: &ConcurrentBankedCache,
-    ops: &[Op],
-    thread: usize,
-    threads: usize,
-) -> (u64, u64, u64, Vec<u64>) {
-    let mut model: HashMap<u64, u64> = HashMap::new();
-    let (mut reads, mut writes, mut verified) = (0u64, 0u64, 0u64);
-    let mut latencies = Vec::with_capacity(ops.len());
-    for op in ops {
-        let begun = Instant::now();
-        match *op {
-            Op::Write(addr, value) => {
-                cache
-                    .write(addr, value)
-                    .expect("campaign write defeated the protection");
-                latencies.push(begun.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-                model.insert(addr, value);
-                writes += 1;
-            }
-            Op::Read(addr) => {
-                let got = cache
-                    .read(addr)
-                    .expect("campaign read defeated the protection");
-                latencies.push(begun.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-                reads += 1;
-                let line = addr / LINE_BYTES as u64;
-                if owner_of_line(line, threads) == thread {
-                    if let Some(&expect) = model.get(&addr) {
-                        assert_eq!(
-                            got, expect,
-                            "campaign read-your-writes violated at {addr:#x} (thread {thread})"
-                        );
-                        verified += 1;
-                    }
-                }
-            }
-        }
-    }
-    (reads, writes, verified, latencies)
 }
 
 #[cfg(test)]
@@ -1002,6 +872,35 @@ mod tests {
         let report = run_campaign(&cfg);
         assert!(report.outcome.healthy());
         assert_eq!(report.outcome.injections, 0);
+    }
+
+    #[test]
+    fn every_injected_shape_is_corrected() {
+        // The in-coverage promise all three chaos drivers rely on: each
+        // deck shape and each storm rectangle (1..=V rows x 1..=2
+        // columns), placed into a clean bank, scrubs back to a clean
+        // audit with no uncorrectable event.
+        let cache = chaos_cache();
+        let uncorrectable = AtomicU64::new(0);
+        let storm_rects = (1..=32)
+            .flat_map(|height| (1..=2).map(move |width| FaultScenario::Rect { height, width }));
+        for scenario in FaultScenario::library().into_iter().chain(storm_rects) {
+            for seed in 0..64u64 {
+                let bank = seed as usize % BANKS;
+                let mut rng = StdRng::seed_from_u64(seed);
+                let cells = scenario.inject(&cache, bank, &mut rng, &uncorrectable);
+                if let FaultScenario::Rect { height, width } = scenario {
+                    assert_eq!(cells, (height * width) as u64, "{scenario:?}");
+                }
+                let mut guard = cache.lock_bank(bank);
+                assert!(
+                    guard.scrub().is_ok(),
+                    "{scenario:?} seed {seed} bank {bank}"
+                );
+                assert!(guard.audit(), "{scenario:?} seed {seed} bank {bank}");
+            }
+        }
+        assert_eq!(uncorrectable.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Network-facing cache service tier: a length-prefixed binary
 //! protocol (GET/SET/HEALTH/SCRUB-STATS) over `std::net` TCP, served by
 //! [`CacheServer`] with thread-per-connection acceptors, and consumed
-//! by [`NetClient`] / [`ShardedClient`] and the chaos drivers.
+//! by [`NetClient`] / [`ShardedClient`] and the two chaos drivers,
+//! [`run_net_chaos`] and [`run_shard_chaos`], which take only a seed.
 //!
 //! This is the fourth architectural layer: sockets → admission → banks.
 //! The engine underneath
@@ -73,10 +74,7 @@ pub mod protocol;
 pub mod server;
 pub mod sharded;
 
-pub use chaos::{
-    run_net_chaos, run_shard_chaos, NetChaosConfig, NetChaosReport, ShardChaosConfig,
-    ShardChaosReport,
-};
+pub use chaos::{run_net_chaos, run_shard_chaos, NetChaosReport, ShardChaosReport};
 pub use client::{ClientConfig, NetClient};
 pub use protocol::{
     BankHealth, FrameRead, HealthReport, ItemOutcome, ProtocolError, Request, RequestFrame,

@@ -282,34 +282,26 @@ impl NetClient {
         }
     }
 
-    /// `GET` with shed-aware retries: `BUSY`/`DEGRADED` responses sleep
-    /// the server's retry-after hint and try again, up to `attempts`
-    /// total tries. The last response is returned (or an error).
+    /// `GET` with shed-aware retries (see [`NetClient::request_retry`]).
+    ///
+    /// # Errors
+    ///
+    /// Transport/framing errors.
+    pub fn get_retry(&mut self, key: u64, attempts: u32) -> Result<Response, ServerError> {
+        self.request_retry(&Request::Get { key }, attempts)
+    }
+
+    /// One request with shed-aware retries: `BUSY`/`DEGRADED` responses
+    /// sleep the server's retry-after hint and try again, up to
+    /// `attempts` total tries. The last response is returned (or an
+    /// error).
     ///
     /// # Errors
     ///
     /// Transport/framing errors; exhausting `attempts` returns the
     /// final shed response as `Ok` so callers can distinguish "still
     /// shedding" from "broken".
-    pub fn get_retry(&mut self, key: u64, attempts: u32) -> Result<Response, ServerError> {
-        self.retry(&Request::Get { key }, attempts)
-    }
-
-    /// `SET` with shed-aware retries (see [`NetClient::get_retry`]).
-    ///
-    /// # Errors
-    ///
-    /// Transport/framing errors.
-    pub fn set_retry(
-        &mut self,
-        key: u64,
-        value: u64,
-        attempts: u32,
-    ) -> Result<Response, ServerError> {
-        self.retry(&Request::Set { key, value }, attempts)
-    }
-
-    fn retry(&mut self, req: &Request, attempts: u32) -> Result<Response, ServerError> {
+    pub fn request_retry(&mut self, req: &Request, attempts: u32) -> Result<Response, ServerError> {
         let mut last = self.request(req)?;
         for _ in 1..attempts.max(1) {
             let hint_ms = match last {

@@ -101,71 +101,6 @@ impl ZipfSampler {
     }
 }
 
-/// A seeded hot-set sampler: a fraction of the item space is "hot" and
-/// absorbs a fixed fraction of the accesses; the remainder is drawn
-/// uniformly from the cold tail.
-///
-/// This is the two-level locality model (e.g. 90% of accesses to 10% of
-/// the lines) used by the service driver for cache-friendly traffic
-/// mixes with a controllable hit ratio.
-#[derive(Clone, Copy, Debug)]
-pub struct HotSetSampler {
-    universe: usize,
-    hot_items: usize,
-    hot_prob: f64,
-}
-
-impl HotSetSampler {
-    /// Builds a sampler over `universe` items where the first
-    /// `hot_items` items receive `hot_prob` of the draws.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hot_items` is zero or not less than `universe`, or if
-    /// `hot_prob` is outside `[0, 1]`.
-    pub fn new(universe: usize, hot_items: usize, hot_prob: f64) -> Self {
-        assert!(
-            hot_items >= 1 && hot_items < universe,
-            "hot set must be a proper nonempty subset of the universe"
-        );
-        assert!(
-            (0.0..=1.0).contains(&hot_prob),
-            "hot probability must be in [0, 1]"
-        );
-        HotSetSampler {
-            universe,
-            hot_items,
-            hot_prob,
-        }
-    }
-
-    /// Number of items in the universe.
-    pub fn universe(&self) -> usize {
-        self.universe
-    }
-
-    /// Whether item `i` belongs to the hot set.
-    pub fn is_hot(&self, i: usize) -> bool {
-        i < self.hot_items
-    }
-
-    /// Expected item index of one draw.
-    pub fn mean_item(&self) -> f64 {
-        let hot_mean = (self.hot_items - 1) as f64 / 2.0;
-        let cold_mean = (self.hot_items + self.universe - 1) as f64 / 2.0;
-        self.hot_prob * hot_mean + (1.0 - self.hot_prob) * cold_mean
-    }
-
-    /// Draws one item in `0..universe`.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
-        if rng.gen_bool(self.hot_prob) {
-            rng.gen_range(0..self.hot_items)
-        } else {
-            rng.gen_range(self.hot_items..self.universe)
-        }
-    }
-}
-
 /// Per-instruction memory behaviour of one workload.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WorkloadProfile {
@@ -382,37 +317,6 @@ mod tests {
         for _ in 0..1000 {
             assert_eq!(zipf.sample(&mut a), zipf.sample(&mut b));
         }
-    }
-
-    #[test]
-    fn hot_set_hits_hot_fraction() {
-        // 10% of 1000 lines take 90% of accesses.
-        let hs = HotSetSampler::new(1000, 100, 0.9);
-        let mut rng = StdRng::seed_from_u64(5);
-        let draws = 100_000;
-        let mut hot = 0u64;
-        let mut sum = 0.0f64;
-        for _ in 0..draws {
-            let i = hs.sample(&mut rng);
-            assert!(i < 1000);
-            if hs.is_hot(i) {
-                hot += 1;
-            }
-            sum += i as f64;
-        }
-        let hot_frac = hot as f64 / draws as f64;
-        assert!(
-            (hot_frac - 0.9).abs() < 0.01,
-            "hot fraction {hot_frac}, expected ~0.9"
-        );
-        // First moment: 0.9 * 49.5 + 0.1 * 549.5 = 99.5.
-        assert!((hs.mean_item() - 99.5).abs() < 1e-9);
-        let empirical_mean = sum / draws as f64;
-        assert!(
-            (empirical_mean - hs.mean_item()).abs() / hs.mean_item() < 0.03,
-            "mean item {empirical_mean} vs analytic {}",
-            hs.mean_item()
-        );
     }
 
     #[test]

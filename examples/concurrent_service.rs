@@ -1,16 +1,16 @@
 //! The concurrent sharded cache service under multi-threaded traffic.
 //!
 //! Builds an 8-bank 2D-protected cache behind the lock-per-bank
-//! [`ConcurrentBankedCache`] frontend, then drives it with seeded Zipf
-//! traffic at increasing thread counts — first clean, then with a
-//! concurrent fault storm injecting 16x16 clustered errors into live
-//! banks while the workers keep serving.
+//! [`ConcurrentBankedCache`] frontend and drives it with seeded Zipf
+//! traffic at increasing thread counts, then runs the quick chaos
+//! campaign: every fault shape of the scenario deck strikes live banks
+//! while verified traffic keeps running and the scrubber heals them.
 //!
 //! ```text
 //! cargo run --release --example concurrent_service
 //! ```
 
-use cachesim::{run_traffic, run_traffic_with_storm, AccessPattern, FaultStorm, TrafficConfig};
+use cachesim::{run_campaign, run_traffic, CampaignConfig, TrafficConfig};
 use twod_cache::{CacheConfig, ConcurrentBankedCache};
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
             ops_per_thread: 64_000 / threads as u64,
             write_fraction: 0.3,
             lines: 4_096,
-            pattern: AccessPattern::Zipf(1.0),
+            zipf_theta: 1.0,
             seed: 42,
             verify: true,
         };
@@ -45,44 +45,27 @@ fn main() {
         );
     }
 
-    // The same service absorbing a fault storm: clustered errors land in
-    // banks 2 and 5 while the workers run; per-bank recovery repairs
-    // them without stalling traffic to the other six banks.
-    println!("\n-- hot-set traffic with a concurrent fault storm --");
-    let cache = ConcurrentBankedCache::new(CacheConfig::l1_64kb(), BANKS);
-    let cfg = TrafficConfig {
-        threads: 4,
-        ops_per_thread: 16_000,
-        write_fraction: 0.2,
-        lines: 2_048,
-        pattern: AccessPattern::HotSet {
-            hot_fraction: 0.1,
-            hot_prob: 0.9,
-        },
-        seed: 7,
-        verify: true,
-    };
-    let storm = FaultStorm {
-        banks: vec![2, 5],
-        injections: 12,
-        cluster: (16, 16),
-        seed: 1234,
-    };
-    let report = run_traffic_with_storm(&cache, &cfg, Some(&storm));
-    println!(
-        "  {} ops at {:.0} ops/s under {} clustered injections",
-        report.total_ops,
-        report.ops_per_sec(),
-        report.injections
-    );
-    for bank in 0..BANKS {
-        let engine = cache.lock_bank(bank).data_engine_stats();
+    // Faults under load: one round of the campaign deck (single bits,
+    // rectangles, row and column strips, L shapes, a silent-write phase)
+    // against a self-healing 4-bank service.
+    println!("\n-- quick chaos campaign: clustered faults under verified traffic --");
+    let report = run_campaign(&CampaignConfig::quick(7));
+    let o = &report.outcome;
+    for phase in &o.phases {
         println!(
-            "  bank {bank}: {} recoveries, {} bits restored",
-            engine.recoveries, engine.bits_recovered
+            "  {:<18} {:>5} ops, {} injection(s) over {:>4} cells, {} verified reads",
+            phase.scenario,
+            phase.reads + phase.writes,
+            phase.injections,
+            phase.cells,
+            phase.verified_reads
         );
     }
-    cache.scrub().expect("post-storm scrub");
-    assert!(cache.audit(), "service must end consistent");
-    println!("\nfinal audit: clean — no wrong data served, siblings never stalled");
+    println!(
+        "  mean time-to-repair {:.0} us over {} sample(s)",
+        report.timing.mttr_mean_ns / 1e3,
+        report.timing.mttr_samples
+    );
+    assert!(o.healthy(), "campaign must end healthy: {o:?}");
+    println!("\nfinal audit: clean — zero lost writes, zero unrecoverable words");
 }
