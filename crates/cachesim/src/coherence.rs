@@ -9,6 +9,7 @@
 //! fractions *emerge* from sharing patterns.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// MESI stable states of a line in one L1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -21,6 +22,30 @@ pub enum Mesi {
     Shared,
     /// Not present.
     Invalid,
+}
+
+/// 2-bit codes of the packed per-core states. Invalid is zero so an
+/// all-Invalid line packs to 0; the high bit marks the owner states
+/// (M/E), and Modified is the one state with both bits set.
+const INVALID: u64 = 0b00;
+const SHARED: u64 = 0b01;
+const EXCLUSIVE: u64 = 0b10;
+const MODIFIED: u64 = 0b11;
+/// The low bit of every core's 2-bit field.
+const LOW_BITS: u64 = 0x5555_5555_5555_5555;
+
+/// Cores one packed `u64` holds at 2 bits each.
+const MAX_CORES: usize = 32;
+
+impl Mesi {
+    fn unpack(bits: u64) -> Self {
+        match bits & 0b11 {
+            MODIFIED => Mesi::Modified,
+            EXCLUSIVE => Mesi::Exclusive,
+            SHARED => Mesi::Shared,
+            _ => Mesi::Invalid,
+        }
+    }
 }
 
 /// How a request was satisfied.
@@ -39,6 +64,14 @@ pub struct CoherenceOutcome {
 }
 
 impl CoherenceOutcome {
+    const LOCAL_HIT: CoherenceOutcome = CoherenceOutcome {
+        local_hit: true,
+        dirty_transfer: false,
+        from_l2: false,
+        invalidations: 0,
+        writeback: false,
+    };
+
     /// Packs the outcome into a small integer so a stream of outcomes
     /// can be folded into an order-sensitive signature (see
     /// `DetailedStats::coherence_sig`): one bit per flag plus the
@@ -52,17 +85,41 @@ impl CoherenceOutcome {
     }
 }
 
+/// Multiplicative hash for line addresses: one multiply, with the high
+/// half folded into the low bits the table indexes by.
+#[derive(Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
 /// A full-map directory plus per-core line states.
+///
+/// Each tracked line maps to one `u64` packing every core's MESI state
+/// in 2 bits (core `c` at bits `2c..2c+2`), so a miss reads and rewrites
+/// one word instead of walking a holder list. A line leaves the map once
+/// every core holds it Invalid.
 ///
 /// Capacity-unbounded by design: the protocol invariants are what is
 /// modelled here; capacity pressure is the job of the functional caches
 /// in [`crate::trace`].
 #[derive(Debug, Default)]
 pub struct Directory {
-    /// (core, line) -> state; Invalid entries are simply absent.
-    states: HashMap<(usize, u64), Mesi>,
-    /// line -> cores holding it (in any valid state).
-    holders: HashMap<u64, Vec<usize>>,
+    /// line -> packed per-core states; all-Invalid lines are absent.
+    lines: HashMap<u64, u64, BuildHasherDefault<LineHasher>>,
     /// Counters.
     pub reads: u64,
     /// Write requests processed.
@@ -75,184 +132,126 @@ pub struct Directory {
     pub writebacks: u64,
 }
 
+/// Bit offset of `core`'s field in a packed line.
+fn shift(core: usize) -> u32 {
+    assert!(
+        core < MAX_CORES,
+        "the packed directory holds at most {MAX_CORES} cores"
+    );
+    2 * core as u32
+}
+
+/// One bit per core (at the field's low bit) for cores holding the line
+/// in any valid state, and one for cores holding it Modified.
+fn valid_and_modified(packed: u64) -> (u64, u64) {
+    let low = packed & LOW_BITS;
+    let high = (packed >> 1) & LOW_BITS;
+    (low | high, low & high)
+}
+
 impl Directory {
     /// Creates an empty directory.
     pub fn new() -> Self {
         Self::default()
     }
 
+    fn packed(&self, line: u64) -> u64 {
+        self.lines.get(&line).copied().unwrap_or(0)
+    }
+
     /// State of `line` in `core`'s L1.
     pub fn state(&self, core: usize, line: u64) -> Mesi {
-        self.states
-            .get(&(core, line))
-            .copied()
-            .unwrap_or(Mesi::Invalid)
+        Mesi::unpack(self.packed(line) >> shift(core))
     }
 
     /// Processes a read by `core` of `line`.
     pub fn read(&mut self, core: usize, line: u64) -> CoherenceOutcome {
         self.reads += 1;
-        match self.state(core, line) {
-            Mesi::Modified | Mesi::Exclusive | Mesi::Shared => CoherenceOutcome {
-                local_hit: true,
-                dirty_transfer: false,
-                from_l2: false,
-                invalidations: 0,
-                writeback: false,
-            },
-            Mesi::Invalid => {
-                // Find a peer; a Modified peer supplies the data directly
-                // (dirty transfer) and downgrades to Shared with a
-                // writeback (Piranha-style: L2 regains a clean copy).
-                let peers = self.holders.get(&line).cloned().unwrap_or_default();
-                let mut outcome = CoherenceOutcome {
-                    local_hit: false,
-                    dirty_transfer: false,
-                    from_l2: false,
-                    invalidations: 0,
-                    writeback: false,
-                };
-                let mut any_peer = false;
-                for p in peers {
-                    if p == core {
-                        continue;
-                    }
-                    any_peer = true;
-                    match self.state(p, line) {
-                        Mesi::Modified => {
-                            outcome.dirty_transfer = true;
-                            outcome.writeback = true;
-                            self.dirty_transfers += 1;
-                            self.writebacks += 1;
-                            self.set(p, line, Mesi::Shared);
-                        }
-                        Mesi::Exclusive => {
-                            self.set(p, line, Mesi::Shared);
-                        }
-                        Mesi::Shared | Mesi::Invalid => {}
-                    }
-                }
-                if !outcome.dirty_transfer {
-                    outcome.from_l2 = true;
-                }
-                let new_state = if any_peer {
-                    Mesi::Shared
-                } else {
-                    Mesi::Exclusive
-                };
-                self.set(core, line, new_state);
-                outcome
-            }
+        let at = shift(core);
+        let packed = self.packed(line);
+        if (packed >> at) & 0b11 != INVALID {
+            return CoherenceOutcome::LOCAL_HIT;
+        }
+        // Every peer holder ends Shared. A Modified peer supplies the
+        // data directly (dirty transfer) and downgrades with a writeback
+        // (Piranha-style: L2 regains a clean copy); an Exclusive one
+        // downgrades silently.
+        let (valid, modified) = valid_and_modified(packed);
+        let dirty = modified.count_ones() as u64;
+        self.dirty_transfers += dirty;
+        self.writebacks += dirty;
+        let own = if valid != 0 { SHARED } else { EXCLUSIVE };
+        self.lines.insert(line, valid | own << at);
+        CoherenceOutcome {
+            local_hit: false,
+            dirty_transfer: dirty > 0,
+            from_l2: dirty == 0,
+            invalidations: 0,
+            writeback: dirty > 0,
         }
     }
 
     /// Processes a write by `core` of `line`.
     pub fn write(&mut self, core: usize, line: u64) -> CoherenceOutcome {
         self.writes += 1;
-        match self.state(core, line) {
-            Mesi::Modified => CoherenceOutcome {
-                local_hit: true,
-                dirty_transfer: false,
-                from_l2: false,
-                invalidations: 0,
-                writeback: false,
-            },
-            Mesi::Exclusive => {
+        let at = shift(core);
+        let packed = self.packed(line);
+        let was_shared = match (packed >> at) & 0b11 {
+            MODIFIED => return CoherenceOutcome::LOCAL_HIT,
+            EXCLUSIVE => {
                 // Silent upgrade.
-                self.set(core, line, Mesi::Modified);
-                CoherenceOutcome {
-                    local_hit: true,
-                    dirty_transfer: false,
-                    from_l2: false,
-                    invalidations: 0,
-                    writeback: false,
-                }
+                self.lines.insert(line, packed | MODIFIED << at);
+                return CoherenceOutcome::LOCAL_HIT;
             }
-            Mesi::Shared | Mesi::Invalid => {
-                let was_shared = self.state(core, line) == Mesi::Shared;
-                let peers = self.holders.get(&line).cloned().unwrap_or_default();
-                let mut outcome = CoherenceOutcome {
-                    local_hit: was_shared,
-                    dirty_transfer: false,
-                    from_l2: false,
-                    invalidations: 0,
-                    writeback: false,
-                };
-                for p in peers {
-                    if p == core {
-                        continue;
-                    }
-                    match self.state(p, line) {
-                        Mesi::Modified => {
-                            // Dirty data moves cache-to-cache; the old
-                            // owner invalidates.
-                            outcome.dirty_transfer = true;
-                            self.dirty_transfers += 1;
-                            outcome.invalidations += 1;
-                            self.invalidations += 1;
-                            self.set(p, line, Mesi::Invalid);
-                        }
-                        Mesi::Exclusive | Mesi::Shared => {
-                            outcome.invalidations += 1;
-                            self.invalidations += 1;
-                            self.set(p, line, Mesi::Invalid);
-                        }
-                        Mesi::Invalid => {}
-                    }
-                }
-                if !was_shared && !outcome.dirty_transfer {
-                    outcome.from_l2 = true;
-                }
-                self.set(core, line, Mesi::Modified);
-                outcome
-            }
+            own => own == SHARED,
+        };
+        // Every peer copy is invalidated; a Modified one hands its dirty
+        // data over cache-to-cache first.
+        let (valid, modified) = valid_and_modified(packed & !(0b11 << at));
+        let invalidations = valid.count_ones() as usize;
+        let dirty = modified.count_ones() as u64;
+        self.dirty_transfers += dirty;
+        self.invalidations += invalidations as u64;
+        self.lines.insert(line, MODIFIED << at);
+        CoherenceOutcome {
+            local_hit: was_shared,
+            dirty_transfer: dirty > 0,
+            from_l2: !was_shared && dirty == 0,
+            invalidations,
+            writeback: false,
         }
     }
 
     /// Evicts `line` from `core` (capacity), returning whether a dirty
     /// writeback occurred.
     pub fn evict(&mut self, core: usize, line: u64) -> bool {
-        let dirty = self.state(core, line) == Mesi::Modified;
+        let at = shift(core);
+        let Some(packed) = self.lines.get_mut(&line) else {
+            return false;
+        };
+        let dirty = (*packed >> at) & 0b11 == MODIFIED;
         if dirty {
             self.writebacks += 1;
         }
-        self.set(core, line, Mesi::Invalid);
+        *packed &= !(0b11 << at);
+        if *packed == 0 {
+            self.lines.remove(&line);
+        }
         dirty
     }
 
     /// Single-writer / multiple-reader invariant: at most one core in
     /// M/E, and if one is, no other core holds the line at all.
     pub fn swmr_holds(&self) -> bool {
-        let mut owners: HashMap<u64, usize> = HashMap::new();
-        for (&(_, line), &state) in &self.states {
-            if state == Mesi::Modified || state == Mesi::Exclusive {
-                *owners.entry(line).or_insert(0) += 1;
-            }
-        }
-        for (line, exclusive_count) in owners {
-            if exclusive_count > 1 {
-                return false;
-            }
-            let holders = self
-                .holders
-                .get(&line)
-                .map(|h| {
-                    h.iter()
-                        .filter(|&&c| self.state(c, line) != Mesi::Invalid)
-                        .count()
-                })
-                .unwrap_or(0);
-            if exclusive_count == 1 && holders > 1 {
-                return false;
-            }
-        }
-        true
+        self.lines.values().all(|&packed| {
+            let owners = ((packed >> 1) & LOW_BITS).count_ones();
+            let (valid, _) = valid_and_modified(packed);
+            owners == 0 || (owners == 1 && valid.count_ones() == 1)
+        })
     }
 
     /// Measured fraction of misses satisfied by dirty L1-to-L1 transfer.
     pub fn dirty_transfer_fraction(&self) -> f64 {
-        let misses = self.dirty_transfers + self.writebacks; // rough denominator guard
-        let _ = misses;
         let total = self.reads + self.writes;
         if total == 0 {
             0.0
@@ -260,27 +259,12 @@ impl Directory {
             self.dirty_transfers as f64 / total as f64
         }
     }
-
-    fn set(&mut self, core: usize, line: u64, state: Mesi) {
-        let holders = self.holders.entry(line).or_default();
-        match state {
-            Mesi::Invalid => {
-                self.states.remove(&(core, line));
-                holders.retain(|&c| c != core);
-            }
-            s => {
-                self.states.insert((core, line), s);
-                if !holders.contains(&core) {
-                    holders.push(core);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -389,5 +373,183 @@ mod tests {
         }
         assert!(migratory.dirty_transfers > 100);
         assert_eq!(private.dirty_transfers, 0);
+    }
+
+    #[test]
+    fn evicting_every_line_empties_the_directory() {
+        // Mixed traffic, then capacity evictions of every (core, line):
+        // no entry may outlive its last holder, whether the line was
+        // ever held or not.
+        let mut d = Directory::new();
+        let mut rng = StdRng::seed_from_u64(34);
+        for _ in 0..5000 {
+            let core = rng.gen_range(0..8);
+            let line = rng.gen_range(0..256);
+            if rng.gen_bool(0.6) {
+                d.read(core, line);
+            } else {
+                d.write(core, line);
+            }
+        }
+        assert!(!d.lines.is_empty());
+        for line in 0..512 {
+            for core in 0..8 {
+                d.evict(core, line);
+            }
+        }
+        assert!(d.lines.is_empty(), "{} lines leaked", d.lines.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 32 cores")]
+    fn more_than_32_cores_is_rejected() {
+        Directory::new().read(MAX_CORES, 0);
+    }
+
+    /// The directory before line packing, kept as the reference model:
+    /// a (core, line) -> state map plus a line -> holders list.
+    #[derive(Default)]
+    struct TwoMapDirectory {
+        states: HashMap<(usize, u64), Mesi>,
+        holders: HashMap<u64, Vec<usize>>,
+        dirty_transfers: u64,
+        invalidations: u64,
+        writebacks: u64,
+    }
+
+    impl TwoMapDirectory {
+        fn state(&self, core: usize, line: u64) -> Mesi {
+            self.states
+                .get(&(core, line))
+                .copied()
+                .unwrap_or(Mesi::Invalid)
+        }
+
+        fn read(&mut self, core: usize, line: u64) -> CoherenceOutcome {
+            if self.state(core, line) != Mesi::Invalid {
+                return CoherenceOutcome::LOCAL_HIT;
+            }
+            let peers = self.holders.get(&line).cloned().unwrap_or_default();
+            let mut outcome = CoherenceOutcome {
+                local_hit: false,
+                dirty_transfer: false,
+                from_l2: false,
+                invalidations: 0,
+                writeback: false,
+            };
+            let mut any_peer = false;
+            for p in peers.into_iter().filter(|&p| p != core) {
+                any_peer = true;
+                match self.state(p, line) {
+                    Mesi::Modified => {
+                        outcome.dirty_transfer = true;
+                        outcome.writeback = true;
+                        self.dirty_transfers += 1;
+                        self.writebacks += 1;
+                        self.set(p, line, Mesi::Shared);
+                    }
+                    Mesi::Exclusive => self.set(p, line, Mesi::Shared),
+                    Mesi::Shared | Mesi::Invalid => {}
+                }
+            }
+            outcome.from_l2 = !outcome.dirty_transfer;
+            let own = if any_peer {
+                Mesi::Shared
+            } else {
+                Mesi::Exclusive
+            };
+            self.set(core, line, own);
+            outcome
+        }
+
+        fn write(&mut self, core: usize, line: u64) -> CoherenceOutcome {
+            match self.state(core, line) {
+                Mesi::Modified => CoherenceOutcome::LOCAL_HIT,
+                Mesi::Exclusive => {
+                    self.set(core, line, Mesi::Modified);
+                    CoherenceOutcome::LOCAL_HIT
+                }
+                own => {
+                    let was_shared = own == Mesi::Shared;
+                    let peers = self.holders.get(&line).cloned().unwrap_or_default();
+                    let mut outcome = CoherenceOutcome {
+                        local_hit: was_shared,
+                        dirty_transfer: false,
+                        from_l2: false,
+                        invalidations: 0,
+                        writeback: false,
+                    };
+                    for p in peers.into_iter().filter(|&p| p != core) {
+                        let state = self.state(p, line);
+                        if state == Mesi::Modified {
+                            outcome.dirty_transfer = true;
+                            self.dirty_transfers += 1;
+                        }
+                        if state != Mesi::Invalid {
+                            outcome.invalidations += 1;
+                            self.invalidations += 1;
+                            self.set(p, line, Mesi::Invalid);
+                        }
+                    }
+                    outcome.from_l2 = !was_shared && !outcome.dirty_transfer;
+                    self.set(core, line, Mesi::Modified);
+                    outcome
+                }
+            }
+        }
+
+        fn evict(&mut self, core: usize, line: u64) -> bool {
+            let dirty = self.state(core, line) == Mesi::Modified;
+            if dirty {
+                self.writebacks += 1;
+            }
+            self.set(core, line, Mesi::Invalid);
+            dirty
+        }
+
+        fn set(&mut self, core: usize, line: u64, state: Mesi) {
+            let holders = self.holders.entry(line).or_default();
+            if state == Mesi::Invalid {
+                self.states.remove(&(core, line));
+                holders.retain(|&c| c != core);
+            } else {
+                self.states.insert((core, line), state);
+                if !holders.contains(&core) {
+                    holders.push(core);
+                }
+            }
+        }
+    }
+
+    const ORACLE_CORES: usize = 8;
+    const ORACLE_LINES: u64 = 24;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The packed directory returns every outcome, counter and final
+        /// state the two-map model does, over 8 cores.
+        #[test]
+        fn packed_directory_matches_two_map_model(
+            ops in proptest::collection::vec((0..10u8, 0..ORACLE_CORES, 0..ORACLE_LINES), 1..600)
+        ) {
+            let mut packed = Directory::new();
+            let mut model = TwoMapDirectory::default();
+            for (kind, core, line) in ops {
+                match kind {
+                    0..=4 => prop_assert_eq!(packed.read(core, line), model.read(core, line)),
+                    5..=8 => prop_assert_eq!(packed.write(core, line), model.write(core, line)),
+                    _ => prop_assert_eq!(packed.evict(core, line), model.evict(core, line)),
+                }
+            }
+            prop_assert_eq!(packed.dirty_transfers, model.dirty_transfers);
+            prop_assert_eq!(packed.invalidations, model.invalidations);
+            prop_assert_eq!(packed.writebacks, model.writebacks);
+            for line in 0..ORACLE_LINES {
+                for core in 0..ORACLE_CORES {
+                    prop_assert_eq!(packed.state(core, line), model.state(core, line));
+                }
+            }
+        }
     }
 }

@@ -279,7 +279,7 @@ impl DetailedSim {
                 if !self.rngs[core].gen_bool(self.pace) {
                     continue;
                 }
-                let record = self.streams[core].generate(1, self.rngs[core].gen())[0];
+                let record = self.streams[core].record(self.rngs[core].gen());
                 // Port for the access itself.
                 if self.ports[core].request_demand() == PortGrant::Rejected {
                     self.stats.port_stalls += 1;

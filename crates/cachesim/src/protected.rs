@@ -186,6 +186,23 @@ pub fn classify(scheme: StoreScheme, flips: usize, ev: &EventEvidence) -> Option
     None
 }
 
+/// Records read evidence for one decoded word against its modelled
+/// value (`None`: a slot never written, which must read back zero).
+fn note_read(ev: &mut EventEvidence, kind: ReadKind, data: &Bits, expected: Option<&Bits>) {
+    match kind {
+        ReadKind::Clean => {}
+        ReadKind::CorrectedInline => ev.corrected += 1,
+        ReadKind::Recovered => ev.recovered += 1,
+    }
+    let matches = match expected {
+        Some(e) => data == e,
+        None => data.is_zero(),
+    };
+    if !matches {
+        ev.mismatch += 1;
+    }
+}
+
 /// Operation counters of one store (monotonic).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
@@ -292,22 +309,6 @@ impl ProtectedStore {
         Bits::from_limbs(&limbs, self.data_bits)
     }
 
-    /// Records read evidence for one decoded word.
-    fn note_read(&mut self, kind: ReadKind, data: &Bits, expected: Option<&Bits>) {
-        match kind {
-            ReadKind::Clean => {}
-            ReadKind::CorrectedInline => self.evidence.corrected += 1,
-            ReadKind::Recovered => self.evidence.recovered += 1,
-        }
-        let matches = match expected {
-            Some(e) => data == e,
-            None => data.is_zero(),
-        };
-        if !matches {
-            self.evidence.mismatch += 1;
-        }
-    }
-
     /// Serves an L2 fill read of `line`; returns the correction-latency
     /// penalty in array-access cycles (0 on the clean fast path).
     pub fn fill_read(&mut self, line: u64) -> u64 {
@@ -316,8 +317,8 @@ impl ProtectedStore {
         let key = (row * self.words_per_row + word) as u32;
         match self.banks[bank].read_word_timed(row, word) {
             Ok((outcome, cycles)) => {
-                let expected = self.model[bank].get(&key).cloned();
-                self.note_read(outcome.kind(), outcome.data(), expected.as_ref());
+                let expected = self.model[bank].get(&key);
+                note_read(&mut self.evidence, outcome.kind(), outcome.data(), expected);
                 self.stats.penalty_cycles += cycles;
                 cycles
             }
@@ -381,8 +382,8 @@ impl ProtectedStore {
                 let key = (row * self.words_per_row + word) as u32;
                 match self.banks[bank].read_word_timed(row, word) {
                     Ok((outcome, cycles)) => {
-                        let expected = self.model[bank].get(&key).cloned();
-                        self.note_read(outcome.kind(), outcome.data(), expected.as_ref());
+                        let expected = self.model[bank].get(&key);
+                        note_read(&mut self.evidence, outcome.kind(), outcome.data(), expected);
                         self.stats.penalty_cycles += cycles;
                     }
                     Err(_) => self.evidence.uncorrectable += 1,

@@ -21,6 +21,9 @@ pub struct TraceRecord {
     pub is_write: bool,
 }
 
+/// Where a stream's sequential component starts.
+const STREAM_BASE: u64 = 0x4000_0000;
+
 /// A synthetic address-stream generator with a hot working set, a colder
 /// drift region, and a streaming component — the three ingredients that
 /// set a cache's miss ratio.
@@ -62,24 +65,42 @@ impl StreamModel {
     /// Generates `n` references.
     pub fn generate(&self, n: usize, seed: u64) -> Vec<TraceRecord> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut out = Vec::with_capacity(n);
-        let mut stream_ptr: u64 = 0x4000_0000;
-        for _ in 0..n {
-            let roll: f64 = rng.gen();
-            let addr = if roll < self.p_hot {
-                rng.gen_range(0..self.hot_bytes / 8) * 8
-            } else if roll < self.p_hot + self.p_stream {
-                stream_ptr += 8;
-                stream_ptr
-            } else {
-                0x1000_0000 + rng.gen_range(0..self.cold_bytes / 8) * 8
-            };
-            out.push(TraceRecord {
-                addr,
-                is_write: rng.gen_bool(self.p_write),
-            });
+        let mut stream_ptr = STREAM_BASE;
+        (0..n)
+            .map(|_| self.draw(&mut rng, &mut stream_ptr))
+            .collect()
+    }
+
+    /// The one reference `generate(1, seed)` would return, without the
+    /// `Vec`.
+    ///
+    /// Known modelling defect, kept so simulated results stay put: a
+    /// fresh stream restarts its sequential pointer, so every streaming
+    /// reference drawn this way is the stream's first address
+    /// (`0x4000_0008`). The detailed simulator draws one record per
+    /// reference, so there `p_stream` acts as a second hot line rather
+    /// than a stream.
+    pub fn record(&self, seed: u64) -> TraceRecord {
+        let mut stream_ptr = STREAM_BASE;
+        self.draw(&mut StdRng::seed_from_u64(seed), &mut stream_ptr)
+    }
+
+    /// Draws the next reference of a stream whose sequential component
+    /// is at `stream_ptr`.
+    fn draw(&self, rng: &mut StdRng, stream_ptr: &mut u64) -> TraceRecord {
+        let roll: f64 = rng.gen();
+        let addr = if roll < self.p_hot {
+            rng.gen_range(0..self.hot_bytes / 8) * 8
+        } else if roll < self.p_hot + self.p_stream {
+            *stream_ptr += 8;
+            *stream_ptr
+        } else {
+            0x1000_0000 + rng.gen_range(0..self.cold_bytes / 8) * 8
+        };
+        TraceRecord {
+            addr,
+            is_write: rng.gen_bool(self.p_write),
         }
-        out
     }
 }
 
@@ -89,9 +110,15 @@ impl StreamModel {
 pub struct FunctionalCache {
     sets: usize,
     ways: usize,
-    line_bytes: u64,
-    /// (tag, dirty) per way per set; LRU order, most recent first.
-    state: Vec<Vec<(u64, bool)>>,
+    /// log2 of the line size and of the set count: an address splits
+    /// into set and tag by shifts and a mask.
+    line_shift: u32,
+    set_bits: u32,
+    /// (tag, dirty), `ways` slots per set. The first `fill[set]` slots
+    /// of a set hold its lines in LRU order, most recent first.
+    slots: Vec<(u64, bool)>,
+    /// Valid slots per set.
+    fill: Vec<usize>,
     /// Counters.
     pub hits: u64,
     /// Misses (fills).
@@ -105,18 +132,24 @@ impl FunctionalCache {
     ///
     /// # Panics
     ///
-    /// Panics if any geometry parameter is zero or not a power of two
-    /// where required.
+    /// Panics if any geometry parameter is zero, or if the line size or
+    /// the set count is not a power of two.
     pub fn new(capacity_bytes: usize, ways: usize, line_bytes: usize) -> Self {
         assert!(ways > 0 && line_bytes > 0 && capacity_bytes > 0);
         let lines = capacity_bytes / line_bytes;
         assert!(lines.is_multiple_of(ways), "capacity must tile into sets");
         let sets = lines / ways;
+        assert!(
+            line_bytes.is_power_of_two() && sets.is_power_of_two(),
+            "line size and set count must be powers of two"
+        );
         FunctionalCache {
             sets,
             ways,
-            line_bytes: line_bytes as u64,
-            state: vec![Vec::new(); sets],
+            line_shift: line_bytes.trailing_zeros(),
+            set_bits: sets.trailing_zeros(),
+            slots: vec![(0, false); sets * ways],
+            fill: vec![0; sets],
             hits: 0,
             misses: 0,
             writebacks: 0,
@@ -150,29 +183,36 @@ impl FunctionalCache {
     /// L1-to-L2 writeback traffic that exercises read-before-write on a
     /// protected L2.
     pub fn access_evicting(&mut self, addr: u64, is_write: bool) -> (bool, Option<(u64, bool)>) {
-        let line = addr / self.line_bytes;
-        let set = (line % self.sets as u64) as usize;
-        let tag = line / self.sets as u64;
-        let ways = self.ways;
-        let entry = &mut self.state[set];
-        if let Some(pos) = entry.iter().position(|&(t, _)| t == tag) {
-            let (t, dirty) = entry.remove(pos);
-            entry.insert(0, (t, dirty | is_write));
+        let line = addr >> self.line_shift;
+        let set = (line & (self.sets as u64 - 1)) as usize;
+        let tag = line >> self.set_bits;
+        let base = set * self.ways;
+        let fill = self.fill[set];
+        let way = &mut self.slots[base..base + fill];
+        if let Some(pos) = way.iter().position(|&(t, _)| t == tag) {
+            // Move the hit line to the MRU slot.
+            way[..=pos].rotate_right(1);
+            way[0].1 |= is_write;
             self.hits += 1;
-            (true, None)
-        } else {
-            self.misses += 1;
-            let mut evicted = None;
-            if entry.len() == ways {
-                let (victim_tag, dirty) = entry.pop().expect("full set");
-                if dirty {
-                    self.writebacks += 1;
-                }
-                evicted = Some((victim_tag * self.sets as u64 + set as u64, dirty));
-            }
-            entry.insert(0, (tag, is_write));
-            (false, evicted)
+            return (true, None);
         }
+        self.misses += 1;
+        let mut evicted = None;
+        if fill == self.ways {
+            let (victim_tag, dirty) = self.slots[base + fill - 1];
+            if dirty {
+                self.writebacks += 1;
+            }
+            evicted = Some((victim_tag * self.sets as u64 + set as u64, dirty));
+        } else {
+            self.fill[set] += 1;
+        }
+        // The LRU (or first free) slot rotates to the front and takes the
+        // new line.
+        let way = &mut self.slots[base..base + self.fill[set]];
+        way.rotate_right(1);
+        way[0] = (tag, is_write);
+        (false, evicted)
     }
 }
 
@@ -267,6 +307,7 @@ pub fn validate_profile(profile: &WorkloadProfile, n: usize, seed: u64) -> Trace
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn functional_cache_basic_hit_miss() {
@@ -277,6 +318,12 @@ mod tests {
         assert!(!c.access(64, false)); // next line
         assert_eq!(c.hits, 2);
         assert_eq!(c.misses, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "powers of two")]
+    fn non_power_of_two_sets_are_rejected() {
+        FunctionalCache::new(3 * 1024, 2, 64); // 24 sets
     }
 
     #[test]
@@ -386,5 +433,83 @@ mod tests {
             "measured {}",
             l1.miss_ratio()
         );
+    }
+
+    /// The set-per-`Vec` LRU cache the flat layout replaced, kept as the
+    /// reference model: `(tag, dirty)` per set, most recent first.
+    struct NaiveLru {
+        sets: u64,
+        ways: usize,
+        line_bytes: u64,
+        state: Vec<Vec<(u64, bool)>>,
+        writebacks: u64,
+    }
+
+    impl NaiveLru {
+        fn new(capacity_bytes: usize, ways: usize, line_bytes: usize) -> Self {
+            let sets = capacity_bytes / line_bytes / ways;
+            NaiveLru {
+                sets: sets as u64,
+                ways,
+                line_bytes: line_bytes as u64,
+                state: vec![Vec::new(); sets],
+                writebacks: 0,
+            }
+        }
+
+        fn access(&mut self, addr: u64, is_write: bool) -> (bool, Option<(u64, bool)>) {
+            let line = addr / self.line_bytes;
+            let set = line % self.sets;
+            let tag = line / self.sets;
+            let entry = &mut self.state[set as usize];
+            if let Some(pos) = entry.iter().position(|&(t, _)| t == tag) {
+                let (t, dirty) = entry.remove(pos);
+                entry.insert(0, (t, dirty | is_write));
+                return (true, None);
+            }
+            let mut evicted = None;
+            if entry.len() == self.ways {
+                let (victim, dirty) = entry.pop().expect("full set");
+                self.writebacks += dirty as u64;
+                evicted = Some((victim * self.sets + set, dirty));
+            }
+            entry.insert(0, (tag, is_write));
+            (false, evicted)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The flat cache reports the naive model's hit, victim and
+        /// writeback for every access of a random stream, for 1-, 2- and
+        /// 16-way geometries. Addresses span 4x each cache's capacity.
+        #[test]
+        fn flat_cache_matches_naive_lru(
+            refs in proptest::collection::vec((0..4096u64, any::<bool>()), 1..1500)
+        ) {
+            for (capacity, ways) in [(1024, 1), (2048, 2), (16 * 1024, 16)] {
+                let mut flat = FunctionalCache::new(capacity, ways, 64);
+                let mut naive = NaiveLru::new(capacity, ways, 64);
+                let span = 4 * capacity as u64 / 64;
+                for &(r, is_write) in &refs {
+                    let addr = (r % span) * 64 + r % 64;
+                    prop_assert_eq!(flat.access_evicting(addr, is_write), naive.access(addr, is_write));
+                }
+                prop_assert_eq!(flat.writebacks, naive.writebacks);
+                prop_assert_eq!(flat.hits + flat.misses, refs.len() as u64);
+            }
+        }
+    }
+
+    proptest! {
+        /// `record(seed)` is `generate(1, seed)[0]` for every profile.
+        #[test]
+        fn record_is_the_first_generated_reference(seed in any::<u64>()) {
+            for profile in WorkloadProfile::paper_set() {
+                let model = StreamModel::for_profile(&profile);
+                prop_assert_eq!(model.record(seed), model.generate(1, seed)[0]);
+            }
+        }
     }
 }

@@ -159,11 +159,16 @@ impl MeasuredRates {
 /// Samples `Poisson(lambda)` by chunked Knuth multiplication (chunking
 /// keeps `exp(-lambda)` representable for large means).
 fn poisson_sample<R: Rng>(lambda: f64, rng: &mut R) -> u64 {
+    const CHUNK: f64 = 10.0;
+    let chunk_limit = (-CHUNK).exp();
     let mut remaining = lambda;
     let mut total = 0u64;
     while remaining > 1e-12 {
-        let step = remaining.min(10.0);
-        let limit = (-step).exp();
+        let (step, limit) = if remaining >= CHUNK {
+            (CHUNK, chunk_limit)
+        } else {
+            (remaining, (-remaining).exp())
+        };
         let mut k = 0u64;
         let mut p = 1.0f64;
         loop {
