@@ -41,10 +41,12 @@
 //! returns one frame, every *complete* frame already sitting in the
 //! connection's `BufReader` is greedily drained and decoded into a
 //! reusable [`BatchArena`] — single ops and `GET_MULTI`/`SET_MULTI`
-//! items alike. Admission runs once per bank *group* (slots reserved in
-//! bulk, sheds decided per item), the cache executes the whole batch via
-//! [`ConcurrentBankedCache::execute_batch_observed`] (at most one bank
-//! lock per group, optimistic reads still per-op), and all responses go
+//! items alike. Every op is routed to its bank once
+//! ([`ConcurrentBankedCache::route_batch`]); admission runs once per bank
+//! *group* of that route (slots reserved in bulk, sheds decided per
+//! item), the cache executes the admitted route via
+//! [`ConcurrentBankedCache::execute_routed`] (at most one bank lock per
+//! group, optimistic reads still per-op), and all responses go
 //! out in one buffered write + flush. The arena and the connection's
 //! `payload`/`out` buffers are reused across batches, so the clean
 //! GET/SET serve path performs **zero heap allocations per request** —
@@ -61,7 +63,9 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use twod_cache::{BatchOp, BatchOutcome, ConcurrentBankedCache, Scrubber, ScrubberStats};
+use twod_cache::{
+    BatchOp, BatchOutcome, BatchRoute, ConcurrentBankedCache, Scrubber, ScrubberStats,
+};
 
 /// Configuration of a [`CacheServer`].
 #[derive(Clone, Copy, Debug)]
@@ -802,15 +806,17 @@ pub struct BatchArena {
     /// Decoded frames in arrival order (responses are emitted in this
     /// order — batching never reorders answers).
     frames: Vec<FrameEntry>,
-    /// Flattened keyed ops across all frames of the batch.
-    ops: Vec<ArenaOp>,
-    /// Admitted ops in batch order, the input to the cache's batch
-    /// executor.
-    core_ops: Vec<BatchOp>,
-    /// Batch executor results, index-matched to `core_ops`.
+    /// Flattened keyed ops across all frames of the batch, the input to
+    /// the cache's batch executor (a bad key holds a placeholder read
+    /// that is never routed).
+    ops: Vec<BatchOp>,
+    /// What happened to each op, index-matched to `ops`.
+    dispositions: Vec<Disposition>,
+    /// The batch's one bank grouping: admission trims it, the executor
+    /// runs it.
+    route: BatchRoute,
+    /// Batch executor results, index-matched to `ops`.
     outcomes: Vec<BatchOutcome>,
-    /// Per-bank pending-op counts of the current batch.
-    bank_pending: Vec<u32>,
     /// Bulk admission grants `(bank, slots)`, released by RAII.
     admitted: Vec<(usize, u32)>,
 }
@@ -825,29 +831,21 @@ impl BatchArena {
     fn clear(&mut self) {
         self.frames.clear();
         self.ops.clear();
-        self.core_ops.clear();
+        self.dispositions.clear();
     }
 
-    fn push_op(&mut self, shared: &Shared, write: bool, key: u64, value: u64) -> usize {
+    fn push_op(&mut self, write: bool, key: u64, value: u64) -> usize {
         let idx = self.ops.len();
-        if key > protocol::MAX_KEY {
-            self.ops.push(ArenaOp {
-                write,
-                addr: 0,
-                value,
-                bank: 0,
-                disposition: Disposition::BadKey,
-            });
+        let (addr, disposition) = if key > protocol::MAX_KEY {
+            (0, Disposition::BadKey)
         } else {
-            let addr = protocol::route_key(key);
-            self.ops.push(ArenaOp {
-                write,
-                addr,
-                value,
-                bank: shared.cache.bank_of(addr),
-                disposition: Disposition::Pending,
-            });
-        }
+            (protocol::route_key(key), Disposition::Pending)
+        };
+        self.ops.push(match write {
+            true => BatchOp::Write(addr, value),
+            false => BatchOp::Read(addr),
+        });
+        self.dispositions.push(disposition);
         idx
     }
 }
@@ -865,16 +863,6 @@ enum FrameEntry {
     ScrubStats { id: u32 },
 }
 
-/// One keyed op of a batch and what happened to it.
-#[derive(Clone, Copy, Debug)]
-struct ArenaOp {
-    write: bool,
-    addr: u64,
-    value: u64,
-    bank: usize,
-    disposition: Disposition,
-}
-
 /// Where an op stands in the admission/execution pipeline.
 #[derive(Clone, Copy, Debug)]
 enum Disposition {
@@ -886,8 +874,8 @@ enum Disposition {
     Busy { hint: u32 },
     /// Shed because the bank is degraded/quarantined.
     Degraded { hint: u32 },
-    /// Admitted: outcome at this [`BatchArena::outcomes`] index.
-    Exec(usize),
+    /// Admitted: outcome at the op's own [`BatchArena::outcomes`] index.
+    Exec,
 }
 
 /// A frame that cannot be decoded: the typed error plus the echoed id
@@ -911,11 +899,11 @@ fn decode_frame_into(
         Ok((id, RequestFrame::Single(req))) => {
             match req {
                 Request::Get { key } => {
-                    let op = arena.push_op(shared, false, key, 0);
+                    let op = arena.push_op(false, key, 0);
                     arena.frames.push(FrameEntry::Single { id, op });
                 }
                 Request::Set { key, value } => {
-                    let op = arena.push_op(shared, true, key, value);
+                    let op = arena.push_op(true, key, value);
                     arena.frames.push(FrameEntry::Single { id, op });
                 }
                 Request::Health => arena.frames.push(FrameEntry::Health { id }),
@@ -926,7 +914,7 @@ fn decode_frame_into(
         Ok((id, RequestFrame::GetMulti(keys))) => {
             let start = arena.ops.len();
             for key in keys {
-                arena.push_op(shared, false, key, 0);
+                arena.push_op(false, key, 0);
             }
             let len = arena.ops.len() - start;
             arena.frames.push(FrameEntry::Multi { id, start, len });
@@ -939,7 +927,7 @@ fn decode_frame_into(
         Ok((id, RequestFrame::SetMulti(pairs))) => {
             let start = arena.ops.len();
             for (key, value) in pairs {
-                arena.push_op(shared, true, key, value);
+                arena.push_op(true, key, value);
             }
             let len = arena.ops.len() - start;
             arena.frames.push(FrameEntry::Multi { id, start, len });
@@ -980,81 +968,64 @@ fn execute_arena(shared: &Shared, arena: &mut BatchArena, out: &mut Vec<u8>) {
     if arena.frames.is_empty() {
         return;
     }
-    // Admission, one bank group at a time: degraded/quarantine checked
-    // once per bank per batch, slots reserved in bulk. Ops beyond the
-    // granted slots shed BUSY individually — the *first* `granted` ops
-    // of the group (batch order) execute, so a shed never reorders
-    // answers relative to an executed op of the same frame.
-    let banks = shared.gates.len();
-    arena.bank_pending.clear();
-    arena.bank_pending.resize(banks, 0);
-    for op in &arena.ops {
-        if matches!(op.disposition, Disposition::Pending) {
-            arena.bank_pending[op.bank] += 1;
-        }
-    }
-    arena.admitted.clear();
-    for bank in 0..banks {
-        let want = arena.bank_pending[bank];
-        if want == 0 {
-            continue;
-        }
+    // Route every pending op once, then admit one bank group at a time:
+    // degraded/quarantine checked once per bank per batch, slots reserved
+    // in bulk. Ops beyond the granted slots shed BUSY individually — the
+    // *first* `granted` ops of the group (batch order) execute, so a shed
+    // never reorders answers relative to an executed op of the same
+    // frame.
+    let BatchArena {
+        ops,
+        dispositions,
+        route,
+        outcomes,
+        admitted,
+        ..
+    } = &mut *arena;
+    shared.cache.route_batch(ops, route, |i| {
+        matches!(dispositions[i], Disposition::Pending)
+    });
+    admitted.clear();
+    let hint = busy_hint_ms(shared);
+    route.admit(|bank, group| {
+        let want = group.len() as u32;
         let gate = &shared.gates[bank];
         if let Some(hint) = shared.shed_hint_ms(bank) {
             gate.shed.fetch_add(u64::from(want), Ordering::Relaxed);
-            for op in arena.ops.iter_mut() {
-                if op.bank == bank && matches!(op.disposition, Disposition::Pending) {
-                    op.disposition = Disposition::Degraded { hint };
-                }
+            for &i in group {
+                dispositions[i as usize] = Disposition::Degraded { hint };
             }
-            continue;
+            return 0;
         }
         let granted = reserve_slots(gate, shared.cfg.max_inflight_per_bank, want);
         if granted > 0 {
-            arena.admitted.push((bank, granted));
+            admitted.push((bank, granted));
         }
         if granted < want {
             gate.shed
                 .fetch_add(u64::from(want - granted), Ordering::Relaxed);
         }
-        let hint = busy_hint_ms(shared);
-        let mut left = granted;
-        for op in arena.ops.iter_mut() {
-            if op.bank != bank || !matches!(op.disposition, Disposition::Pending) {
-                continue;
-            }
-            if left > 0 {
-                left -= 1;
-                let j = arena.core_ops.len();
-                arena.core_ops.push(if op.write {
-                    BatchOp::Write(op.addr, op.value)
-                } else {
-                    BatchOp::Read(op.addr)
-                });
-                op.disposition = Disposition::Exec(j);
-            } else {
-                op.disposition = Disposition::Busy { hint };
-            }
+        let (run, shed) = group.split_at(granted as usize);
+        for &i in run {
+            dispositions[i as usize] = Disposition::Exec;
         }
-    }
-    // Execute the whole admitted batch; the RAII release returns every
+        for &i in shed {
+            dispositions[i as usize] = Disposition::Busy { hint };
+        }
+        granted as usize
+    });
+    // Execute the admitted route; the RAII release returns every
     // reserved slot even if the engine panics. The observer hook is the
     // batch-era slow-op detector: a bank group whose guard was held
     // past the threshold ran an inline recovery, so the bank degrades.
     {
-        let BatchArena {
-            core_ops,
-            outcomes,
-            admitted,
-            ..
-        } = &mut *arena;
         let _release = AdmitRelease {
             gates: &shared.gates,
             admitted,
         };
         shared
             .cache
-            .execute_batch_observed(core_ops, outcomes, |bank, held| {
+            .execute_routed(ops, route, outcomes, |bank, held| {
                 if held >= shared.cfg.slow_op_threshold {
                     shared.mark_degraded(bank);
                 }
@@ -1062,18 +1033,19 @@ fn execute_arena(shared: &Shared, arena: &mut BatchArena, out: &mut Vec<u8>) {
     }
     // Uncorrectable damage observed by the batch opens the owning
     // bank's degraded window, exactly like the scalar path did.
-    for op in &arena.ops {
-        if let Disposition::Exec(j) = op.disposition {
-            if matches!(arena.outcomes[j], BatchOutcome::Failed(_)) {
-                shared.mark_degraded(op.bank);
-            }
+    for (bank, group) in route.groups() {
+        if group
+            .iter()
+            .any(|&i| matches!(outcomes[i as usize], BatchOutcome::Failed(_)))
+        {
+            shared.mark_degraded(bank);
         }
     }
     // Emit responses in frame arrival order.
     for frame in &arena.frames {
         match *frame {
             FrameEntry::Single { id, op } => {
-                let resp = match op_item(shared, &arena.ops[op], &arena.outcomes) {
+                let resp = match op_item(shared, arena.dispositions[op], &arena.outcomes[op]) {
                     ItemOutcome::Value(v) => Response::Value(v),
                     ItemOutcome::Ok => Response::Ok,
                     ItemOutcome::Busy { retry_after_ms } => Response::Busy { retry_after_ms },
@@ -1087,8 +1059,8 @@ fn execute_arena(shared: &Shared, arena: &mut BatchArena, out: &mut Vec<u8>) {
             }
             FrameEntry::Multi { id, start, len } => {
                 let mut multi = protocol::begin_multi_response(id, len, out);
-                for op in &arena.ops[start..start + len] {
-                    multi.push(op_item(shared, op, &arena.outcomes));
+                for op in start..start + len {
+                    multi.push(op_item(shared, arena.dispositions[op], &arena.outcomes[op]));
                 }
                 multi.finish();
             }
@@ -1110,8 +1082,8 @@ fn execute_arena(shared: &Shared, arena: &mut BatchArena, out: &mut Vec<u8>) {
 /// Maps one executed/shed op to its wire item outcome, bumping the
 /// aggregate stat counters (per item, matching the scalar-era
 /// per-request tallies).
-fn op_item(shared: &Shared, op: &ArenaOp, outcomes: &[BatchOutcome]) -> ItemOutcome {
-    match op.disposition {
+fn op_item(shared: &Shared, disposition: Disposition, outcome: &BatchOutcome) -> ItemOutcome {
+    match disposition {
         Disposition::BadKey => {
             shared.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
             ItemOutcome::BadRequest
@@ -1128,8 +1100,8 @@ fn op_item(shared: &Shared, op: &ArenaOp, outcomes: &[BatchOutcome]) -> ItemOutc
                 retry_after_ms: hint,
             }
         }
-        Disposition::Exec(j) => match outcomes[j] {
-            BatchOutcome::Value(v) => ItemOutcome::Value(v),
+        Disposition::Exec => match outcome {
+            BatchOutcome::Value(v) => ItemOutcome::Value(*v),
             BatchOutcome::Written => ItemOutcome::Ok,
             BatchOutcome::Failed(_) => {
                 shared.stats.faults.fetch_add(1, Ordering::Relaxed);

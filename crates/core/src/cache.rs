@@ -54,6 +54,8 @@ impl CacheConfig {
 
 /// Tag entry width: 48-bit tag + valid + dirty bits.
 pub(crate) const TAG_ENTRY_BITS: usize = 50;
+/// Tag entry bits a lookup compares: the 48-bit tag plus the valid bit.
+pub(crate) const TAG_KEY_BITS: usize = 49;
 /// Stack-buffer capacity for line-granular row operations; interleave
 /// degrees beyond this (none of the paper's schemes) fall back to
 /// per-word accesses.
@@ -63,63 +65,132 @@ const fn words_per_line(data_bits: usize) -> usize {
     LINE_BYTES * 8 / data_bits
 }
 
+/// Exact `n / d` and `n % d` for a divisor fixed at construction, by
+/// multiplication instead of a runtime division (Granlund & Montgomery,
+/// "Division by invariant integers using multiplication", 1994, fig.
+/// 4.1 with N = 64): with `l = ceil(log2 d)` and
+/// `m = floor(2^64 (2^l - d) / d) + 1`, `t = mulhi(m, n)` gives
+/// `n / d = (t + (n - t) / 2) >> (l - 1)` (both shifts 0 when `d = 1`)
+/// for every 64-bit `n` and `d`. One 64x64-bit multiply high replaces a
+/// 64-bit `div`, which costs tens of cycles on common x86-64 parts. Any
+/// divisor works: bank counts, set counts and interleave degrees need
+/// not be powers of two.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Divisor {
+    d: u64,
+    m: u64,
+    /// `min(l, 1)`.
+    shift1: u32,
+    /// `max(l, 1) - 1`.
+    shift2: u32,
+}
+
+impl Divisor {
+    /// # Panics
+    ///
+    /// Panics if `d == 0`.
+    pub(crate) fn new(d: u64) -> Self {
+        assert!(d > 0, "divisor must be nonzero");
+        let l = 64 - (d - 1).leading_zeros();
+        let d128 = u128::from(d);
+        // 2^l - d < d, so m fits in 64 bits.
+        let m = (((1u128 << 64) * ((1u128 << l) - d128)) / d128 + 1) as u64;
+        Divisor {
+            d,
+            m,
+            shift1: l.min(1),
+            shift2: l.max(1) - 1,
+        }
+    }
+
+    /// The divisor `d`.
+    #[inline]
+    pub(crate) fn get(self) -> u64 {
+        self.d
+    }
+
+    /// `(n / d, n % d)`.
+    #[inline]
+    pub(crate) fn div_rem(self, n: u64) -> (u64, u64) {
+        // t <= n, so neither the subtraction nor the sum can overflow.
+        let t = ((u128::from(self.m) * u128::from(n)) >> 64) as u64;
+        let q = (t + ((n - t) >> self.shift1)) >> self.shift2;
+        (q, n - q * self.d)
+    }
+}
+
 /// The pure address arithmetic of a [`ProtectedCache`]: how a byte
 /// address splits into (set, tag, word) and where a logical word lives
 /// inside the interleaved data/tag arrays. Extracted from the cache so
 /// the optimistic read path in [`crate::ConcurrentBankedCache`] computes
 /// coordinates from a `Copy` snapshot without borrowing any bank — the
 /// cache's own accessors delegate here, keeping one source of truth.
+/// Every runtime divisor is a precomputed [`Divisor`], so no coordinate
+/// costs a hardware division.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct CacheGeometry {
-    pub(crate) sets: usize,
+    sets: Divisor,
     pub(crate) ways: usize,
-    pub(crate) data_bits: usize,
-    pub(crate) data_interleave: usize,
-    pub(crate) tag_interleave: usize,
+    data_bits: Divisor,
+    words_per_line: usize,
+    data_interleave: Divisor,
+    tag_interleave: Divisor,
 }
 
 impl CacheGeometry {
     pub(crate) fn new(config: &CacheConfig) -> Self {
         CacheGeometry {
-            sets: config.sets,
+            sets: Divisor::new(config.sets as u64),
             ways: config.ways,
-            data_bits: config.data_scheme.data_bits,
-            data_interleave: config.data_scheme.interleave,
-            tag_interleave: config.tag_scheme.interleave,
+            data_bits: Divisor::new(config.data_scheme.data_bits as u64),
+            words_per_line: words_per_line(config.data_scheme.data_bits),
+            data_interleave: Divisor::new(config.data_scheme.interleave as u64),
+            tag_interleave: Divisor::new(config.tag_scheme.interleave as u64),
         }
     }
 
     /// Splits a byte address into (set, tag, 64-bit-word-in-line).
+    #[inline]
     pub(crate) fn split(&self, addr: u64) -> (usize, u64, usize) {
-        let line = addr / LINE_BYTES as u64;
-        let set = (line % self.sets as u64) as usize;
-        let tag = line / self.sets as u64;
+        let (tag, set) = self.sets.div_rem(addr / LINE_BYTES as u64);
         let word_in_line = (addr as usize % LINE_BYTES) / 8;
-        (set, tag, word_in_line)
+        (set as usize, tag, word_in_line)
     }
 
     /// Data-array coordinates of `(set, way, word64)`: the (row, word
     /// slot, bit offset) storing the 64-bit word. The data array stores
     /// `data_bits`-bit words; a 64-bit word maps into one of them.
+    #[inline]
     pub(crate) fn data_coords(
         &self,
         set: usize,
         way: usize,
         word64: usize,
     ) -> (usize, usize, usize) {
-        let bits = self.data_bits;
-        let sub = 64 * word64 % bits; // bit offset inside the stored word
-        let wpl = words_per_line(bits);
-        let word_index = (set * self.ways + way) * wpl + (word64 * 64 / bits);
-        let row = word_index / self.data_interleave;
-        let slot = word_index % self.data_interleave;
-        (row, slot, sub)
+        // (stored word within the line, bit offset inside it)
+        let (word, sub) = self.data_bits.div_rem(64 * word64 as u64);
+        let word_index = (set * self.ways + way) * self.words_per_line + word as usize;
+        let (row, slot) = self.data_interleave.div_rem(word_index as u64);
+        (row as usize, slot as usize, sub as usize)
     }
 
     /// Tag-array coordinates (row, word slot) of `(set, way)`.
+    #[inline]
     pub(crate) fn tag_coords(&self, set: usize, way: usize) -> (usize, usize) {
-        let idx = set * self.ways + way;
-        (idx / self.tag_interleave, idx % self.tag_interleave)
+        let (row, slot) = self.tag_interleave.div_rem((set * self.ways + way) as u64);
+        (row as usize, slot as usize)
+    }
+
+    /// Tag-array coordinates of `(set, way + 1)` from those of
+    /// `(set, way)`: a set's entries are consecutive words, so a way scan
+    /// steps slot by slot with no division.
+    #[inline]
+    pub(crate) fn next_tag_coords(&self, (row, slot): (usize, usize)) -> (usize, usize) {
+        if slot + 1 == self.tag_interleave.get() as usize {
+            (row + 1, 0)
+        } else {
+            (row, slot + 1)
+        }
     }
 }
 
@@ -171,6 +242,7 @@ impl CacheStats {
 /// ```
 pub struct ProtectedCache {
     config: CacheConfig,
+    geometry: CacheGeometry,
     data: TwoDArray,
     tags: TwoDArray,
     /// LRU stacks per set (most recent first).
@@ -210,6 +282,7 @@ impl ProtectedCache {
             .collect();
         ProtectedCache {
             config,
+            geometry: CacheGeometry::new(&config),
             data,
             tags,
             lru,
@@ -434,7 +507,7 @@ impl ProtectedCache {
     /// The `Copy` address-arithmetic snapshot of this cache (see
     /// [`CacheGeometry`]).
     pub(crate) fn geometry(&self) -> CacheGeometry {
-        CacheGeometry::new(&self.config)
+        self.geometry
     }
 
     fn split(&self, addr: u64) -> (usize, u64, usize) {
@@ -666,6 +739,13 @@ impl TagEntry {
         }
     }
 
+    /// The low [`TAG_KEY_BITS`] bits of every valid entry holding `tag`:
+    /// the pattern a lookup matches. `None` when `tag` needs more than 48
+    /// bits, which no stored entry can hold (so nothing matches).
+    pub(crate) fn lookup_key(tag: u64) -> Option<u64> {
+        (tag >> 48 == 0).then_some(tag | 1 << 48)
+    }
+
     /// Decodes the packed 50-bit form used by the u64 tag fast lane.
     pub(crate) fn from_u64(raw: u64) -> Self {
         TagEntry {
@@ -694,6 +774,68 @@ impl TagEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn divisor_matches_hardware_division() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut divisors = vec![1u64, 2, 3, 5, 7, 24, 64, 65, 100, 641, 1 << 32];
+        divisors.extend([(1 << 32) + 1, (1 << 63) - 1, 1 << 63, (1 << 63) + 1]);
+        divisors.extend([u64::MAX - 1, u64::MAX]);
+        // Random divisors of every width.
+        divisors.extend((0..200).map(|i| (next() >> (i % 64)).max(1)));
+        for d in divisors {
+            let div = Divisor::new(d);
+            let check = |n: u64| assert_eq!(div.div_rem(n), (n / d, n % d), "{n} / {d}");
+            for n in [0, 1, d - 1, d, d.wrapping_add(1), u64::MAX - 1, u64::MAX] {
+                check(n);
+            }
+            // The largest multiples of d and their neighbours, where an
+            // off-by-one quotient would show.
+            let top = u64::MAX / d * d;
+            for n in [top, top - 1, top.wrapping_add(1), top - d, top - d + 1] {
+                check(n);
+            }
+            for _ in 0..500 {
+                let n = next();
+                check(n);
+                check(n >> 40);
+                let near = n / d * d;
+                check(near);
+                check(near.wrapping_sub(1));
+            }
+        }
+    }
+
+    #[test]
+    fn geometry_steps_tag_slots_like_division() {
+        for (sets, ways, il) in [(24usize, 2usize, 4usize), (16, 4, 4), (5, 3, 2), (7, 5, 3)] {
+            let config = CacheConfig {
+                sets,
+                ways,
+                data_scheme: TwoDScheme::l1_paper(),
+                tag_scheme: TwoDScheme {
+                    data_bits: TAG_ENTRY_BITS,
+                    interleave: il,
+                    ..TwoDScheme::l1_paper()
+                },
+            };
+            let g = CacheGeometry::new(&config);
+            for set in 0..sets {
+                let mut coords = g.tag_coords(set, 0);
+                for way in 0..ways {
+                    let idx = set * ways + way;
+                    assert_eq!(coords, (idx / il, idx % il), "set {set} way {way}");
+                    coords = g.next_tag_coords(coords);
+                }
+            }
+        }
+    }
 
     fn small_cache() -> ProtectedCache {
         // 16 sets x 2 ways x 64B = 2kB, quick for tests.

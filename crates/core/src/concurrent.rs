@@ -21,10 +21,10 @@
 //! # The seqlock clean-read fast path
 //!
 //! The paper's premise is that clean reads are the overwhelmingly common
-//! case: 2D coding makes them *verify-only* (masked row-parity checks,
-//! no mutation, no decode). That asymmetry is what makes an optimistic
-//! read protocol sound here, so each bank additionally carries a seqlock
-//! generation counter:
+//! case: 2D coding makes them *verify-only* (re-encode the stored data
+//! and compare its check bits; no mutation, no decode). That asymmetry
+//! is what makes an optimistic read protocol sound here, so each bank
+//! additionally carries a seqlock generation counter:
 //!
 //! * every lock acquisition ([`Self::lock_bank`]) bumps the bank's
 //!   sequence to **odd** on entry and back to **even** on release —
@@ -42,10 +42,10 @@
 //! happens-before argument, and the torn-read fallback state machine —
 //! is documented in `docs/CONCURRENCY.md`.
 
-use crate::cache::{CacheGeometry, TagEntry, TAG_ENTRY_BITS};
-use crate::{CacheConfig, CacheStats, ProtectedCache};
+use crate::cache::{CacheGeometry, Divisor, TagEntry, TAG_ENTRY_BITS, TAG_KEY_BITS};
+use crate::{CacheConfig, CacheStats, ProtectedCache, LINE_BYTES};
 use memarray::{ArrayProbe, EngineError, EngineStats, ErrorShape, ScrubSlice};
-use std::cell::UnsafeCell;
+use std::cell::{RefCell, UnsafeCell};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
@@ -209,7 +209,12 @@ impl fmt::Debug for BankGuard<'_> {
 /// ```
 pub struct ConcurrentBankedCache {
     banks: Vec<Bank>,
-    line_bytes: u64,
+    /// Divides line addresses by the bank count without a hardware
+    /// division (any bank count, not only powers of two).
+    bank_divisor: Divisor,
+    /// The per-bank configuration, kept outside the banks so
+    /// [`Self::capacity`] and `Debug` answer without taking a lock.
+    config: CacheConfig,
     /// `Copy` snapshot of the per-bank address arithmetic, so the
     /// optimistic path computes (set, way, row, slot) coordinates
     /// without borrowing any bank.
@@ -255,6 +260,76 @@ pub enum BatchOutcome {
     Failed(EngineError),
 }
 
+/// A batch's ops routed to their banks once: each op's bank and
+/// bank-local address, and the op indices grouped by bank (ascending
+/// bank order, batch order within a group), built by one O(N + banks)
+/// counting sort with no division on the way
+/// ([`ConcurrentBankedCache::route_batch`]).
+///
+/// The route is the one grouping of a batch: the network server reads
+/// its groups for per-bank admission, trims them with
+/// [`BatchRoute::admit`], and hands the same route to
+/// [`ConcurrentBankedCache::execute_routed`]. Its buffers keep their
+/// capacity, so routing allocates nothing once sized.
+#[derive(Clone, Debug, Default)]
+pub struct BatchRoute {
+    /// Owning bank of each op, index-matched to the routed ops
+    /// ([`UNROUTED`] for ops left out).
+    bank: Vec<u32>,
+    /// Bank-local address of each op, index-matched to the routed ops.
+    local: Vec<u64>,
+    /// Routed op indices, grouped by bank.
+    order: Vec<u32>,
+    /// The touched banks in ascending order: `(bank, start, end)` into
+    /// `order`.
+    groups: Vec<(u32, u32, u32)>,
+    /// Counting-sort scratch, one counter per bank.
+    counts: Vec<u32>,
+}
+
+/// [`BatchRoute::bank`] marker of an op the route leaves out.
+const UNROUTED: u32 = u32::MAX;
+
+impl BatchRoute {
+    /// An empty route.
+    pub const fn new() -> Self {
+        BatchRoute {
+            bank: Vec::new(),
+            local: Vec::new(),
+            order: Vec::new(),
+            groups: Vec::new(),
+            counts: Vec::new(),
+        }
+    }
+
+    /// The routed ops grouped by bank: `(bank, op indices)` for every
+    /// bank owning at least one op, in ascending bank order, with each
+    /// group's indices in batch order.
+    pub fn groups(&self) -> impl Iterator<Item = (usize, &[u32])> + '_ {
+        self.groups
+            .iter()
+            .map(|&(bank, start, end)| (bank as usize, &self.order[start as usize..end as usize]))
+    }
+
+    /// Admission: calls `keep(bank, ops)` once per group and trims the
+    /// group to its first `keep` ops (batch order), so a shed never
+    /// runs ahead of an admitted op of the same bank. Trimmed ops are
+    /// not executed.
+    pub fn admit(&mut self, mut keep: impl FnMut(usize, &[u32]) -> usize) {
+        for (bank, start, end) in &mut self.groups {
+            let ops = &self.order[*start as usize..*end as usize];
+            let kept = keep(*bank as usize, ops).min(ops.len());
+            *end = *start + kept as u32;
+        }
+    }
+}
+
+thread_local! {
+    /// Routing scratch of [`ConcurrentBankedCache::execute_batch_observed`],
+    /// one per thread so batches allocate nothing once it is sized.
+    static ROUTE: RefCell<BatchRoute> = const { RefCell::new(BatchRoute::new()) };
+}
+
 impl ConcurrentBankedCache {
     /// Creates `banks` independent banks, each configured per `config`.
     ///
@@ -265,7 +340,8 @@ impl ConcurrentBankedCache {
         assert!(banks > 0, "need at least one bank");
         ConcurrentBankedCache {
             banks: (0..banks).map(|_| Bank::new(config)).collect(),
-            line_bytes: crate::LINE_BYTES as u64,
+            bank_divisor: Divisor::new(banks as u64),
+            config,
             geometry: CacheGeometry::new(&config),
             lock_acquisitions: AtomicU64::new(0),
         }
@@ -276,24 +352,23 @@ impl ConcurrentBankedCache {
         self.banks.len()
     }
 
-    /// Total capacity across banks.
+    /// Total capacity across banks. Takes no lock.
     pub fn capacity(&self) -> usize {
-        (0..self.banks.len())
-            .map(|i| self.lock_bank(i).config().capacity())
-            .sum()
+        self.config.capacity() * self.banks.len()
     }
 
     /// Which bank serves `addr`.
     pub fn bank_of(&self, addr: u64) -> usize {
-        ((addr / self.line_bytes) % self.banks.len() as u64) as usize
+        self.route(addr).0
     }
 
-    /// Bank-local address: the line index within the bank, preserving the
-    /// in-line offset.
-    fn local_addr(&self, addr: u64) -> u64 {
-        let line = addr / self.line_bytes;
-        let offset = addr % self.line_bytes;
-        (line / self.banks.len() as u64) * self.line_bytes + offset
+    /// The owning bank of `addr` and its bank-local address (the line
+    /// index within the bank, preserving the in-line offset).
+    #[inline]
+    fn route(&self, addr: u64) -> (usize, u64) {
+        let line_bytes = LINE_BYTES as u64;
+        let (local_line, bank) = self.bank_divisor.div_rem(addr / line_bytes);
+        (bank as usize, local_line * line_bytes + addr % line_bytes)
     }
 
     /// Locks one bank and returns the guard, entering the bank's seqlock
@@ -343,9 +418,10 @@ impl ConcurrentBankedCache {
     ///    stuck-at overlay, so any stuck cell disables the fast path),
     /// 2. the sequence snapshot is even (no writer in the bank),
     /// 3. the tag lookup finds a valid matching way and that way's tag
-    ///    word verifies clean (other ways' tags are extracted without
-    ///    verification — a corrupted non-match can only demote this
-    ///    attempt to the locked path, never serve data),
+    ///    word verifies clean (the other ways are screened out in the
+    ///    interleaved domain without verification — a corrupted
+    ///    non-match can only demote this attempt to the locked path,
+    ///    never serve data),
     /// 4. the data word probes clean,
     /// 5. the sequence re-check equals the snapshot (no writer ran
     ///    during the probes — the value is not torn).
@@ -375,7 +451,17 @@ impl ConcurrentBankedCache {
     /// assert_eq!(cache.try_optimistic_read(0x80), Some(7));
     /// ```
     pub fn try_optimistic_read(&self, addr: u64) -> Option<u64> {
-        let bank = &self.banks[self.bank_of(addr)];
+        let (bank, local) = self.route(addr);
+        let value = self.optimistic_read(bank, local)?;
+        self.banks[bank].opt_hits.fetch_add(1, Ordering::Relaxed);
+        Some(value)
+    }
+
+    /// [`Self::try_optimistic_read`] of an already-routed address,
+    /// leaving the bank's `opt_hits` tally to the caller (a batch adds
+    /// one bank group's hits in one atomic add).
+    fn optimistic_read(&self, bank_idx: usize, local: u64) -> Option<u64> {
+        let bank = &self.banks[bank_idx];
         if bank.hard_faults.load(Ordering::Relaxed) {
             return None;
         }
@@ -387,33 +473,43 @@ impl ConcurrentBankedCache {
         if s1 & 1 == 1 {
             return None;
         }
-        let (set, tag, word_in_line) = self.geometry.split(self.local_addr(addr));
+        let (set, tag, word_in_line) = self.geometry.split(local);
         // Way scan, tuned to keep the common case cheap: one snapshot
-        // covers every way whose tag entry shares a row, each way's tag
-        // is extracted *unverified*, and the clean-mask checks run only
-        // for the way that actually matches. A corrupted (or torn)
-        // non-matching tag can only cause a miss here — the fallback
-        // path re-reads under the lock and recovers — while a matching
-        // tag is never trusted without its clean check passing.
+        // covers every way whose tag entry shares a row, and one
+        // comparison in the interleaved column domain screens all of
+        // that row's entries against the wanted valid+tag bits at once
+        // (`candidate_words`), with no extraction. Only a candidate way
+        // is extracted, and that single fused step both verifies its
+        // entry clean and confirms the full match. A corrupted (or torn)
+        // non-matching tag can only cause a miss here — the fallback path
+        // re-reads under the lock and recovers — while a matching tag is
+        // never trusted without its clean check.
+        let key = TagEntry::lookup_key(tag)?;
         let mut tag_snap = [0u64; memarray::PROBE_MAX_ROW_LIMBS];
         let mut snap_row = usize::MAX;
+        let mut candidates = 0u64;
         let mut value = None;
+        let mut coords = self.geometry.tag_coords(set, 0);
         for way in 0..self.geometry.ways {
-            let (trow, tslot) = self.geometry.tag_coords(set, way);
+            let (trow, tslot) = coords;
+            coords = self.geometry.next_tag_coords(coords);
             if trow != snap_row {
                 // SAFETY: the probes' source arrays live inside `self`
                 // and are alive for the duration of this call; torn
                 // snapshots are rejected by the sequence re-check below.
-                unsafe { bank.tag_probe.snapshot_row(trow, &mut tag_snap) }?;
+                let limbs = unsafe { bank.tag_probe.snapshot_row(trow, &mut tag_snap) }?;
+                candidates = bank.tag_probe.candidate_words(limbs, key, TAG_KEY_BITS);
                 snap_row = trow;
             }
-            let limbs = &tag_snap[..];
-            let entry =
-                TagEntry::from_u64(bank.tag_probe.extract_in(limbs, tslot, 0, TAG_ENTRY_BITS));
+            // (Words past 64 are never screened out, only extracted.)
+            if tslot < 64 && candidates >> tslot & 1 == 0 {
+                continue;
+            }
+            let entry = bank
+                .tag_probe
+                .clean_in(&tag_snap, tslot, 0, TAG_ENTRY_BITS)?;
+            let entry = TagEntry::from_u64(entry);
             if entry.valid && entry.tag == tag {
-                if !bank.tag_probe.word_clean_in(limbs, tslot) {
-                    return None;
-                }
                 let (row, slot, sub) = self.geometry.data_coords(set, way, word_in_line);
                 // SAFETY: as above.
                 value = Some(unsafe { bank.data_probe.peek_word_u64(row, slot, sub, 64) }?);
@@ -430,7 +526,6 @@ impl ConcurrentBankedCache {
         if bank.seq.load(Ordering::Relaxed) != s1 {
             return None;
         }
-        bank.opt_hits.fetch_add(1, Ordering::Relaxed);
         Some(value)
     }
 
@@ -444,11 +539,11 @@ impl ConcurrentBankedCache {
     /// Returns [`EngineError`] if the owning bank's protection was
     /// defeated.
     pub fn read(&self, addr: u64) -> Result<u64, EngineError> {
-        if let Some(value) = self.try_optimistic_read(addr) {
+        let (bank, local) = self.route(addr);
+        if let Some(value) = self.optimistic_read(bank, local) {
+            self.banks[bank].opt_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(value);
         }
-        let bank = self.bank_of(addr);
-        let local = self.local_addr(addr);
         self.lock_bank(bank).read(local)
     }
 
@@ -461,16 +556,72 @@ impl ConcurrentBankedCache {
     /// Returns [`EngineError`] if the owning bank's protection was
     /// defeated.
     pub fn write(&self, addr: u64, value: u64) -> Result<(), EngineError> {
-        let bank = self.bank_of(addr);
-        let local = self.local_addr(addr);
+        let (bank, local) = self.route(addr);
         self.lock_bank(bank).write(local, value)
     }
 
-    /// Executes a batch of reads and writes, grouping ops by owning bank
-    /// so each bank's group pays **at most one** [`Self::lock_bank`]
-    /// acquisition — the amortization the batched network serve path is
-    /// built on. Outcomes land in `out` position-matched to `ops`
-    /// (`out` is cleared and refilled; its capacity is reused).
+    /// Routes `ops` into `route` (cleared and refilled): each op for which
+    /// `include(index)` holds gets its owning bank and bank-local
+    /// address, computed once and without a division, and the included
+    /// ops are grouped by bank in one O(N + banks) counting sort that
+    /// keeps batch order within each bank. Excluded ops belong to no
+    /// group and are never executed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch holds `u32::MAX` ops or more.
+    pub fn route_batch(
+        &self,
+        ops: &[BatchOp],
+        route: &mut BatchRoute,
+        mut include: impl FnMut(usize) -> bool,
+    ) {
+        assert!(ops.len() < UNROUTED as usize, "batch too large to route");
+        route.bank.clear();
+        route.local.clear();
+        route.groups.clear();
+        route.counts.clear();
+        route.counts.resize(self.banks.len(), 0);
+        for (i, op) in ops.iter().enumerate() {
+            if include(i) {
+                let (bank, local) = self.route(op.addr());
+                route.counts[bank] += 1;
+                route.bank.push(bank as u32);
+                route.local.push(local);
+            } else {
+                route.bank.push(UNROUTED);
+                route.local.push(0);
+            }
+        }
+        // Prefix sums: each touched bank's group start, then its cursor.
+        let mut next = 0u32;
+        for (bank, count) in route.counts.iter_mut().enumerate() {
+            if *count > 0 {
+                route.groups.push((bank as u32, next, next + *count));
+            }
+            let start = next;
+            next += *count;
+            *count = start;
+        }
+        route.order.clear();
+        route.order.resize(next as usize, 0);
+        for (i, &bank) in route.bank.iter().enumerate() {
+            if bank != UNROUTED {
+                let cursor = &mut route.counts[bank as usize];
+                route.order[*cursor as usize] = i as u32;
+                *cursor += 1;
+            }
+        }
+    }
+
+    /// Executes the ops of `route`'s groups (built from `ops` by
+    /// [`Self::route_batch`], possibly trimmed by [`BatchRoute::admit`]),
+    /// bank group by bank group, so each bank pays **at most one**
+    /// [`Self::lock_bank`] acquisition per batch — the amortization the
+    /// batched network serve path is built on. Outcomes land in `out`
+    /// position-matched to `ops` (`out` is cleared and refilled; its
+    /// capacity is reused); ops outside every group are not executed and
+    /// keep a `Written` placeholder.
     ///
     /// Per-op ordering within a bank follows batch order, and the
     /// bank guard is taken *lazily*:
@@ -493,29 +644,38 @@ impl ConcurrentBankedCache {
     /// `observe` is called once per bank group that actually took the
     /// lock, with the bank index and the time spent holding the guard —
     /// the hook the server's slow-op degraded-mode detection uses.
-    pub fn execute_batch_observed<F>(
+    ///
+    /// # Panics
+    ///
+    /// Panics if `route` was not routed from a batch of `ops.len()` ops.
+    pub fn execute_routed<F>(
         &self,
         ops: &[BatchOp],
+        route: &BatchRoute,
         out: &mut Vec<BatchOutcome>,
-        observe: F,
+        mut observe: F,
     ) where
         F: FnMut(usize, std::time::Duration),
     {
-        let mut observe = observe;
+        assert_eq!(
+            route.local.len(),
+            ops.len(),
+            "route built from another batch"
+        );
         out.clear();
         out.resize(ops.len(), BatchOutcome::Written);
-        for bank_idx in 0..self.banks.len() {
+        for (bank_idx, group) in route.groups() {
             let mut guard: Option<BankGuard<'_>> = None;
             let mut entered = None;
-            for (i, op) in ops.iter().enumerate() {
-                if self.bank_of(op.addr()) != bank_idx {
-                    continue;
-                }
-                let local = self.local_addr(op.addr());
-                match *op {
-                    BatchOp::Read(addr) => {
+            let mut opt_hits = 0;
+            for &i in group {
+                let i = i as usize;
+                let local = route.local[i];
+                match ops[i] {
+                    BatchOp::Read(_) => {
                         if guard.is_none() {
-                            if let Some(value) = self.try_optimistic_read(addr) {
+                            if let Some(value) = self.optimistic_read(bank_idx, local) {
+                                opt_hits += 1;
                                 out[i] = BatchOutcome::Value(value);
                                 continue;
                             }
@@ -541,6 +701,11 @@ impl ConcurrentBankedCache {
                     }
                 }
             }
+            if opt_hits > 0 {
+                self.banks[bank_idx]
+                    .opt_hits
+                    .fetch_add(opt_hits, Ordering::Relaxed);
+            }
             if let Some(g) = guard {
                 let held = entered.expect("guard implies entry timestamp").elapsed();
                 drop(g);
@@ -549,70 +714,47 @@ impl ConcurrentBankedCache {
         }
     }
 
-    /// [`Self::execute_batch_observed`] without the per-bank-group
-    /// timing hook.
-    pub fn execute_batch(&self, ops: &[BatchOp], out: &mut Vec<BatchOutcome>) {
-        self.execute_batch_observed(ops, out, |_, _| {});
+    /// Executes a whole batch of reads and writes: [`Self::route_batch`]
+    /// over every op into per-thread scratch, then
+    /// [`Self::execute_routed`] (at most one lock per bank, lazy guards,
+    /// outcomes position-matched to `ops` in `out`).
+    pub fn execute_batch_observed<F>(
+        &self,
+        ops: &[BatchOp],
+        out: &mut Vec<BatchOutcome>,
+        observe: F,
+    ) where
+        F: FnMut(usize, std::time::Duration),
+    {
+        let run = |route: &mut BatchRoute| {
+            self.route_batch(ops, route, |_| true);
+            self.execute_routed(ops, route, out, observe);
+        };
+        ROUTE.with(|scratch| match scratch.try_borrow_mut() {
+            Ok(mut route) => run(&mut route),
+            // Re-entered from an `observe` hook: route into a fresh one.
+            Err(_) => run(&mut BatchRoute::new()),
+        });
     }
 
-    /// Batched read of many (possibly bank-interleaved) addresses:
-    /// optimistic per-op first, then at most one lock per bank for the
-    /// fallbacks. Results land in `out` position-matched to `addrs`.
+    /// [`Self::execute_batch_observed`] without the per-bank-group
+    /// timing hook.
     ///
     /// # Examples
     ///
     /// ```
-    /// use twod_cache::{CacheConfig, ConcurrentBankedCache};
+    /// use twod_cache::{BatchOp, BatchOutcome, CacheConfig, ConcurrentBankedCache};
     ///
     /// let c = ConcurrentBankedCache::new(CacheConfig::l1_64kb(), 4);
-    /// let addrs: Vec<u64> = (0..32u64).map(|i| i * 64).collect();
-    /// for &a in &addrs {
-    ///     c.write(a, a + 1).unwrap();
-    /// }
+    /// let writes: Vec<BatchOp> = (0..32u64).map(|i| BatchOp::Write(i * 64, i + 1)).collect();
     /// let mut out = Vec::new();
-    /// c.read_batch(&addrs, &mut out);
-    /// assert!(addrs.iter().zip(&out).all(|(&a, r)| *r == Ok(a + 1)));
+    /// c.execute_batch(&writes, &mut out);
+    /// let reads: Vec<BatchOp> = (0..32u64).map(|i| BatchOp::Read(i * 64)).collect();
+    /// c.execute_batch(&reads, &mut out);
+    /// assert!((0..32u64).all(|i| out[i as usize] == BatchOutcome::Value(i + 1)));
     /// ```
-    pub fn read_batch(&self, addrs: &[u64], out: &mut Vec<Result<u64, EngineError>>) {
-        out.clear();
-        out.resize(addrs.len(), Ok(0));
-        for bank_idx in 0..self.banks.len() {
-            let mut guard: Option<BankGuard<'_>> = None;
-            for (i, &addr) in addrs.iter().enumerate() {
-                if self.bank_of(addr) != bank_idx {
-                    continue;
-                }
-                if guard.is_none() {
-                    if let Some(value) = self.try_optimistic_read(addr) {
-                        out[i] = Ok(value);
-                        continue;
-                    }
-                }
-                let local = self.local_addr(addr);
-                let g = guard.get_or_insert_with(|| self.lock_bank(bank_idx));
-                out[i] = g.read(local);
-            }
-        }
-    }
-
-    /// Batched write of many `(addr, value)` pairs: one lock per bank
-    /// that owns at least one pair (writes always take the lock — the
-    /// seqlock has no optimistic write side). Results land in `out`
-    /// position-matched to `items`.
-    pub fn write_batch(&self, items: &[(u64, u64)], out: &mut Vec<Result<(), EngineError>>) {
-        out.clear();
-        out.resize(items.len(), Ok(()));
-        for bank_idx in 0..self.banks.len() {
-            let mut guard: Option<BankGuard<'_>> = None;
-            for (i, &(addr, value)) in items.iter().enumerate() {
-                if self.bank_of(addr) != bank_idx {
-                    continue;
-                }
-                let local = self.local_addr(addr);
-                let g = guard.get_or_insert_with(|| self.lock_bank(bank_idx));
-                out[i] = g.write(local, value);
-            }
-        }
+    pub fn execute_batch(&self, ops: &[BatchOp], out: &mut Vec<BatchOutcome>) {
+        self.execute_batch_observed(ops, out, |_, _| {});
     }
 
     /// Total bank-lock acquisitions so far (monotonic, all callers —
@@ -747,7 +889,7 @@ impl fmt::Debug for ConcurrentBankedCache {
             f,
             "ConcurrentBankedCache({} banks x {}B)",
             self.banks.len(),
-            self.lock_bank(0).config().capacity()
+            self.config.capacity()
         )
     }
 }
@@ -936,28 +1078,29 @@ mod tests {
         for i in 0..64u64 {
             c.write(i * 64, i + 7).unwrap();
         }
-        let addrs: Vec<u64> = (0..64u64).map(|i| i * 64).collect();
-        let mut reads = Vec::new();
+        let reads: Vec<BatchOp> = (0..64u64).map(|i| BatchOp::Read(i * 64)).collect();
+        let mut out = Vec::new();
         let before = c.lock_acquisitions();
-        c.read_batch(&addrs, &mut reads);
+        c.execute_batch(&reads, &mut out);
         assert_eq!(
             c.lock_acquisitions(),
             before,
             "clean resident batched reads must stay fully lock-free"
         );
-        for (i, r) in reads.iter().enumerate() {
-            assert_eq!(*r, Ok(i as u64 + 7), "read {i}");
+        for (i, r) in out.iter().enumerate() {
+            assert_eq!(*r, BatchOutcome::Value(i as u64 + 7), "read {i}");
         }
         // 64 writes across 4 banks: exactly one lock per bank.
-        let items: Vec<(u64, u64)> = (0..64u64).map(|i| (i * 64, i + 100)).collect();
-        let mut writes = Vec::new();
+        let writes: Vec<BatchOp> = (0..64u64)
+            .map(|i| BatchOp::Write(i * 64, i + 100))
+            .collect();
         let before = c.lock_acquisitions();
-        c.write_batch(&items, &mut writes);
+        c.execute_batch(&writes, &mut out);
         assert_eq!(c.lock_acquisitions() - before, 4, "one lock per bank");
-        assert!(writes.iter().all(|r| r.is_ok()));
-        c.read_batch(&addrs, &mut reads);
-        for (i, r) in reads.iter().enumerate() {
-            assert_eq!(*r, Ok(i as u64 + 100), "read-back {i}");
+        assert!(out.iter().all(|r| *r == BatchOutcome::Written));
+        c.execute_batch(&reads, &mut out);
+        for (i, r) in out.iter().enumerate() {
+            assert_eq!(*r, BatchOutcome::Value(i as u64 + 100), "read-back {i}");
         }
     }
 

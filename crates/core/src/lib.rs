@@ -50,6 +50,6 @@ mod scheme;
 mod scrubber;
 
 pub use cache::{CacheConfig, CacheStats, ProtectedCache, LINE_BYTES};
-pub use concurrent::{BankGuard, BatchOp, BatchOutcome, ConcurrentBankedCache};
+pub use concurrent::{BankGuard, BatchOp, BatchOutcome, BatchRoute, ConcurrentBankedCache};
 pub use scheme::TwoDScheme;
 pub use scrubber::{Scrubber, ScrubberConfig, ScrubberStats};

@@ -171,9 +171,10 @@ pub struct RecoveryReport {
 /// ```
 pub struct TwoDArray {
     /// The immutable shared half: codec (with its precomputed tables),
-    /// layout, clean masks, and geometry. One [`BankScheme`] instance is
-    /// shared by every bank built from the same [`TwoDConfig`] — cloning
-    /// the `Arc` is how a banked cache avoids duplicating table sets.
+    /// layout, clean-check tables, and geometry. One [`BankScheme`]
+    /// instance is shared by every bank built from the same
+    /// [`TwoDConfig`] — cloning the `Arc` is how a banked cache avoids
+    /// duplicating table sets.
     scheme: Arc<BankScheme>,
     grid: BitGrid,
     vparity: VerticalParity,
@@ -218,8 +219,8 @@ pub struct TwoDConfig {
 
 impl TwoDArray {
     /// Creates a zero-initialized protected bank, sharing its table set
-    /// (codec, layout, clean masks) with every other bank built from the
-    /// same configuration via the process-wide scheme registry.
+    /// (codec, layout, clean-check tables) with every other bank built
+    /// from the same configuration via the process-wide scheme registry.
     ///
     /// # Panics
     ///
@@ -345,7 +346,8 @@ impl TwoDArray {
     }
 
     /// Whether word `word` of a physical row stores a self-consistent
-    /// codeword, checked against the scheme's precomputed clean masks.
+    /// codeword, checked against the scheme's precomputed clean-check
+    /// tables.
     #[inline]
     fn word_clean(&self, row: &Bits, word: usize) -> bool {
         self.scheme.word_clean(row, word)
@@ -395,6 +397,15 @@ impl TwoDArray {
         assert!(row < self.rows(), "row {row} out of range");
         assert!(word < self.words_per_row(), "word {word} out of range");
         assert_eq!(data.len(), self.layout().data_bits(), "data width mismatch");
+        // A clean word of at most 64 bits takes the u64 lane, whose fused
+        // verify reads the old word once.
+        if data.len() <= 64
+            && self
+                .try_write_word_u64(row, word, 0, data.as_limbs()[0], data.len())
+                .is_some()
+        {
+            return 0;
+        }
         // Read-before-write: fetch the old row for the vertical update.
         // The stored vertical parity always reflects the *intended* data,
         // so the old value fed into the update must be the intended old
@@ -437,6 +448,34 @@ impl TwoDArray {
         self.write_row_raw(row, &new_row);
         self.stats.writes += 1;
         correction_cycles
+    }
+
+    /// Fills `out` with the data of word `word` of the scratch row when
+    /// the word checks clean, and returns whether it did. A word of at
+    /// most 64 bits is gathered once, by the fused verify
+    /// ([`BankScheme::clean_data_u64`]); a wider one is verified, then
+    /// extracted.
+    fn clean_scratch_word_into(&self, word: usize, out: &mut Bits) -> bool {
+        let layout = self.layout();
+        let bits = layout.data_bits();
+        if bits > 64 {
+            if !self.scheme.word_clean(&self.scratch_row, word) {
+                return false;
+            }
+            layout.extract_data_into(&self.scratch_row, word, out);
+            return true;
+        }
+        assert_eq!(out.len(), bits, "data width mismatch");
+        match self
+            .scheme
+            .clean_data_u64(self.scratch_row.as_limbs(), word, 0, bits)
+        {
+            Some(value) => {
+                out.set_limb(0, value);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Loads the overlaid content of `row` into the reusable scratch row
@@ -547,16 +586,13 @@ impl TwoDArray {
         assert!(row < self.rows(), "row {row} out of range");
         assert!(word < self.words_per_row(), "word {word} out of range");
         self.stats.reads += 1;
-        // Clean fast path: verify the word's check equations at limb
-        // granularity against the scratch row, then extract only the data
-        // bits — no check extraction, no decode machinery, and the single
+        // Clean fast path: verify the word against the scratch row and
+        // extract its data bits — no decode machinery, and the single
         // allocation is the returned data word itself.
         self.load_scratch_row(row);
-        if self.scheme.word_clean(&self.scratch_row, word) {
-            return Ok((
-                ReadOutcome::Clean(self.layout().extract_data(&self.scratch_row, word)),
-                0,
-            ));
+        let mut data = Bits::zeros(self.layout().data_bits());
+        if self.clean_scratch_word_into(word, &mut data) {
+            return Ok((ReadOutcome::Clean(data), 0));
         }
         let row_bits = self.scratch_row.clone();
         let data = self.layout().extract_data(&row_bits, word);
@@ -616,10 +652,8 @@ impl TwoDArray {
         assert!(row < self.rows(), "row {row} out of range");
         assert!(word < self.words_per_row(), "word {word} out of range");
         self.load_scratch_row(row);
-        if self.scheme.word_clean(&self.scratch_row, word) {
+        if self.clean_scratch_word_into(word, out) {
             self.stats.reads += 1;
-            self.layout()
-                .extract_data_into(&self.scratch_row, word, out);
             return Ok(ReadKind::Clean);
         }
         // Dirty path: delegate to the allocating read (it counts the
@@ -650,14 +684,11 @@ impl TwoDArray {
         assert!(row < self.rows(), "row {row} out of range");
         assert!(word < self.words_per_row(), "word {word} out of range");
         self.load_scratch_row(row);
-        if !self.scheme.word_clean(&self.scratch_row, word) {
-            return None;
-        }
+        let value =
+            self.scheme
+                .clean_data_u64(self.scratch_row.as_limbs(), word, bit_offset, width)?;
         self.stats.reads += 1;
-        Some(
-            self.layout()
-                .extract_data_u64(&self.scratch_row, word, bit_offset, width),
-        )
+        Some(value)
     }
 
     /// u64 write fast lane: overwrites `width` data bits of word `word`
@@ -690,13 +721,12 @@ impl TwoDArray {
             return None;
         }
         self.load_scratch_row(row);
-        if !self.scheme.word_clean(&self.scratch_row, word) {
-            return None;
-        }
+        let old =
+            self.scheme
+                .clean_data_u64(self.scratch_row.as_limbs(), word, bit_offset, width)?;
         let layout = self.layout();
         self.stats.extra_reads += 1;
         self.stats.writes += 1;
-        let old = layout.extract_data_u64(&self.scratch_row, word, bit_offset, width);
         let value = value & crate::layout::low_mask(width);
         if old == value {
             self.stats.silent_writes += 1;
@@ -721,9 +751,9 @@ impl TwoDArray {
     /// Line-granular read fast lane: extracts every word of `row` into
     /// `out` in one pass over a single row fetch, when the whole row is
     /// clean and words are at most 64 data bits wide. Zero heap
-    /// allocations. Returns `false` (counting nothing) when any word
-    /// fails its check or the geometry is ineligible; the caller falls
-    /// back to per-word reads.
+    /// allocations. Returns `false` (counting nothing, with `out` partly
+    /// overwritten) when any word fails its check or the geometry is
+    /// ineligible; the caller falls back to per-word reads.
     ///
     /// # Panics
     ///
@@ -737,17 +767,16 @@ impl TwoDArray {
             return false;
         }
         self.load_scratch_row(row);
-        for w in 0..layout.interleave() {
-            if !self.scheme.word_clean(&self.scratch_row, w) {
-                return false;
+        for (w, slot) in out.iter_mut().enumerate() {
+            match self
+                .scheme
+                .clean_data_u64(self.scratch_row.as_limbs(), w, 0, layout.data_bits())
+            {
+                Some(value) => *slot = value,
+                None => return false,
             }
         }
         self.stats.reads += layout.interleave() as u64;
-        for (w, slot) in out.iter_mut().enumerate() {
-            *slot = self
-                .layout()
-                .extract_data_u64(&self.scratch_row, w, 0, layout.data_bits());
-        }
         true
     }
 
@@ -1042,10 +1071,10 @@ impl TwoDArray {
     /// Whether any row has an uncorrectable word — the allocation-free
     /// core of [`TwoDArray::failing_rows`] for callers that only need the
     /// boolean. With no stuck-at overlay the raw limb block *is* the
-    /// observable content, so a batched clean-mask sweep over all rows
-    /// (one pass per mask, many rows per pass) settles the common case
-    /// without copying a single row; any dirtiness falls back to the
-    /// per-row decode walk for an exact answer.
+    /// observable content, so a batched clean-check sweep over all rows
+    /// settles the common case without copying a single row; any
+    /// dirtiness falls back to the per-row decode walk for an exact
+    /// answer.
     fn any_row_failing(&mut self) -> bool {
         if self.faults.is_empty()
             && self.scheme.rows_clean_limbs(
@@ -1163,7 +1192,7 @@ impl TwoDArray {
     }
 
     /// Whether every word of a physical row stores a self-consistent
-    /// codeword, checked against the precomputed clean masks.
+    /// codeword, checked against the precomputed clean-check tables.
     fn row_clean(&self, row: &Bits) -> bool {
         (0..self.words_per_row()).all(|w| self.word_clean(row, w))
     }
@@ -1398,8 +1427,8 @@ pub const PROBE_MAX_ROW_LIMBS: usize = 16;
 /// A probe is captured once from a live [`TwoDArray`]
 /// ([`TwoDArray::probe`]) and then used from threads that do **not**
 /// hold any borrow of the array: [`ArrayProbe::peek_word_u64`] snapshots
-/// one row's limbs with relaxed atomic loads, checks the word's clean
-/// masks against the snapshot, and extracts the data bits — no
+/// one row's limbs with relaxed atomic loads, then extracts the word
+/// and checks it clean against the snapshot in one fused step — no
 /// allocation, no stats, no mutation, no reference into the racing
 /// storage is ever formed.
 ///
@@ -1452,7 +1481,7 @@ pub const PROBE_MAX_ROW_LIMBS: usize = 16;
 /// assert_eq!(v, Some(0xBEEF));
 /// ```
 pub struct ArrayProbe {
-    /// Keeps the clean masks / layout alive independently of the array.
+    /// Keeps the clean-check tables / layout alive independently of the array.
     scheme: Arc<BankScheme>,
     /// First limb of the grid's row-major storage (never reallocated).
     base: *const u64,
@@ -1496,15 +1525,7 @@ impl ArrayProbe {
     ) -> Option<u64> {
         let mut snapshot = [0u64; PROBE_MAX_ROW_LIMBS];
         let limbs = self.snapshot_row(row, &mut snapshot)?;
-        assert!(word < self.words_per_row, "word {word} out of range");
-        if !self.scheme.word_clean_limbs(limbs, word) {
-            return None;
-        }
-        Some(
-            self.scheme
-                .layout()
-                .extract_data_u64_from_limbs(limbs, word, bit_offset, width),
-        )
+        self.clean_in(limbs, word, bit_offset, width)
     }
 
     /// Snapshots row `row` into `buf` with relaxed atomic limb loads and
@@ -1513,12 +1534,12 @@ impl ArrayProbe {
     /// targets) `AtomicU64` is not layout-compatible with `u64` — the
     /// optimistic lane is unavailable and callers take the locked path.
     ///
-    /// Separating the snapshot from [`Self::word_clean_in`] /
-    /// [`Self::extract_in`] lets a caller amortize one row snapshot over
+    /// Separating the snapshot from [`Self::candidate_words`] /
+    /// [`Self::clean_in`] lets a caller amortize one row snapshot over
     /// several words (a set's tag entries share a row) and defer the
-    /// clean-mask verification until a word is actually going to be
-    /// trusted — the seqlock fast path extracts every way's tag
-    /// unverified, then verifies only the matching way.
+    /// clean check until a word is actually going to be trusted — the
+    /// seqlock fast path screens every way's tag unverified, then
+    /// verifies only the candidate way.
     ///
     /// # Safety
     ///
@@ -1555,37 +1576,46 @@ impl ArrayProbe {
         Some(&buf[..self.limbs_per_row])
     }
 
-    /// Whether word `word` passes its horizontal clean check against a
-    /// row snapshot previously taken with [`Self::snapshot_row`] on this
-    /// probe. A `false` may mean real damage or a torn snapshot; either
-    /// way the caller falls back to the locked path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `word` is out of range or `limbs` is shorter than the
-    /// probe's row width.
-    pub fn word_clean_in(&self, limbs: &[u64], word: usize) -> bool {
-        assert!(word < self.words_per_row, "word {word} out of range");
-        self.scheme.word_clean_limbs(limbs, word)
-    }
-
-    /// Extracts `width` data bits at `bit_offset` of word `word` from a
-    /// row snapshot previously taken with [`Self::snapshot_row`] on this
-    /// probe, **without** any clean check: the caller decides whether
-    /// (and when) to pay for [`Self::word_clean_in`]. Extracting
-    /// unverified bits is sound as long as acting on them is gated on
-    /// verification or on a fallback that re-reads under the lock.
+    /// Verified extraction from a row snapshot previously taken with
+    /// [`Self::snapshot_row`] on this probe: `width` data bits at
+    /// `bit_offset` of word `word` when the word passes its horizontal
+    /// clean check, else `None` ([`BankScheme::clean_data_u64`]: one
+    /// fused gather, re-encode and compare). A `None` may mean real
+    /// damage or a torn snapshot; either way the caller falls back to
+    /// the locked path.
     ///
     /// # Panics
     ///
     /// Panics if `word` is out of range, the bit window falls outside
     /// the word's data bits, or `limbs` is shorter than the probe's row
     /// width.
-    pub fn extract_in(&self, limbs: &[u64], word: usize, bit_offset: usize, width: usize) -> u64 {
+    #[inline]
+    pub fn clean_in(
+        &self,
+        limbs: &[u64],
+        word: usize,
+        bit_offset: usize,
+        width: usize,
+    ) -> Option<u64> {
         assert!(word < self.words_per_row, "word {word} out of range");
-        self.scheme
-            .layout()
-            .extract_data_u64_from_limbs(limbs, word, bit_offset, width)
+        self.scheme.clean_data_u64(limbs, word, bit_offset, width)
+    }
+
+    /// Bitmask of the words of a row snapshot (previously taken with
+    /// [`Self::snapshot_row`] on this probe) that may hold `value` in
+    /// data bits `0..width` ([`RowLayout::candidate_words`]): a clear bit
+    /// rules a word out, a set bit must be confirmed — [`Self::clean_in`]
+    /// extracts, verifies and returns the word in one step. Nothing is
+    /// verified here: acting on a candidate is sound only once that
+    /// confirmation (or a locked re-read) has run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is not in `1..=min(64, data_bits)` or `limbs` is
+    /// shorter than the probe's row width.
+    #[inline]
+    pub fn candidate_words(&self, limbs: &[u64], value: u64, width: usize) -> u64 {
+        self.scheme.layout().candidate_words(limbs, value, width)
     }
 
     /// Number of data rows of the underlying bank.

@@ -32,24 +32,22 @@ fn gather2(mut x: u64) -> u64 {
 }
 
 /// Packs the bits of `x` at positions `0, 4, 8, ...` down to `0..16`.
+/// Two compress steps leave four nibbles at bits 0/16/32/48; one multiply
+/// then places nibble `k` at `36 + 4k` (partial products sit on distinct
+/// nibble boundaries, so no carries).
 #[inline]
 fn gather4(mut x: u64) -> u64 {
     x &= 0x1111_1111_1111_1111;
     x = (x | (x >> 3)) & 0x0303_0303_0303_0303;
     x = (x | (x >> 6)) & 0x000F_000F_000F_000F;
-    x = (x | (x >> 12)) & 0x0000_00FF_0000_00FF;
-    x = (x | (x >> 24)) & 0x0000_0000_0000_FFFF;
-    x
+    (x.wrapping_mul(0x0000_0010_0100_1001) >> 36) & 0xFFFF
 }
 
-/// Packs the bits of `x` at positions `0, 8, 16, ...` down to `0..8`.
+/// Packs the bits of `x` at positions `0, 8, 16, ...` down to `0..8`: the
+/// classic byte-LSB multiply, which lands bit `8i` at `56 + i`.
 #[inline]
-fn gather8(mut x: u64) -> u64 {
-    x &= 0x0101_0101_0101_0101;
-    x = (x | (x >> 7)) & 0x0003_0003_0003_0003;
-    x = (x | (x >> 14)) & 0x0000_000F_0000_000F;
-    x = (x | (x >> 28)) & 0x0000_0000_0000_00FF;
-    x
+fn gather8(x: u64) -> u64 {
+    (x & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080) >> 56
 }
 
 /// Spreads the low 32 bits of `x` to positions `0, 2, 4, ...` (inverse of
@@ -93,9 +91,9 @@ fn fast_stride(stride: usize) -> bool {
     matches!(stride, 1 | 2 | 4 | 8)
 }
 
-#[inline]
-fn gather(x: u64, stride: usize) -> u64 {
-    match stride {
+#[inline(always)]
+fn gather<const S: usize>(x: u64) -> u64 {
+    match S {
         1 => x,
         2 => gather2(x),
         4 => gather4(x),
@@ -103,9 +101,9 @@ fn gather(x: u64, stride: usize) -> u64 {
     }
 }
 
-#[inline]
-fn scatter(x: u64, stride: usize) -> u64 {
-    match stride {
+#[inline(always)]
+fn scatter<const S: usize>(x: u64) -> u64 {
+    match S {
         1 => x,
         2 => scatter2(x),
         4 => scatter4(x),
@@ -116,19 +114,30 @@ fn scatter(x: u64, stride: usize) -> u64 {
 /// Gathers `count` bits (`count <= 64`) spaced `stride` columns apart
 /// starting at `start_col`, limb-at-a-time: each source limb contributes
 /// `64 / stride` word bits through one compress kernel instead of a
-/// per-bit loop. `stride` must satisfy [`fast_stride`] and divide 64.
-#[inline]
+/// per-bit loop. `stride` must satisfy [`fast_stride`]; the dispatch
+/// picks a kernel with the stride as a constant, so every column split
+/// is a shift or a mask, never a division.
+#[inline(always)]
 fn gather_span(limbs: &[u64], start_col: usize, stride: usize, count: usize) -> u64 {
-    let phase = start_col % stride;
-    let bpl = 64 / stride;
+    match stride {
+        1 => gather_span_k::<1>(limbs, start_col, count),
+        2 => gather_span_k::<2>(limbs, start_col, count),
+        4 => gather_span_k::<4>(limbs, start_col, count),
+        _ => gather_span_k::<8>(limbs, start_col, count),
+    }
+}
+
+#[inline(always)]
+fn gather_span_k<const S: usize>(limbs: &[u64], start_col: usize, count: usize) -> u64 {
+    let phase = start_col % S;
     let mut b = start_col / 64;
-    let mut skip = (start_col % 64) / stride;
+    let mut skip = (start_col % 64) / S;
     let mut out = 0u64;
     let mut produced = 0usize;
     while produced < count {
-        let chunk = gather(limbs[b] >> phase, stride) >> skip;
+        let chunk = gather::<S>(limbs[b] >> phase) >> skip;
         out |= chunk << produced;
-        produced += bpl - skip;
+        produced += 64 / S - skip;
         skip = 0;
         b += 1;
     }
@@ -137,20 +146,30 @@ fn gather_span(limbs: &[u64], start_col: usize, stride: usize, count: usize) -> 
 
 /// Scatters the low `count` bits of `value` to columns `start_col,
 /// start_col + stride, ...`, limb-at-a-time (inverse of
-/// [`gather_span`]); other columns keep their contents.
+/// [`gather_span`], with the same constant-stride dispatch); other
+/// columns keep their contents.
 #[inline]
 fn scatter_span(row: &mut Bits, start_col: usize, stride: usize, count: usize, value: u64) {
-    let phase = start_col % stride;
-    let bpl = 64 / stride;
+    match stride {
+        1 => scatter_span_k::<1>(row, start_col, count, value),
+        2 => scatter_span_k::<2>(row, start_col, count, value),
+        4 => scatter_span_k::<4>(row, start_col, count, value),
+        _ => scatter_span_k::<8>(row, start_col, count, value),
+    }
+}
+
+#[inline(always)]
+fn scatter_span_k<const S: usize>(row: &mut Bits, start_col: usize, count: usize, value: u64) {
+    let phase = start_col % S;
     let mut b = start_col / 64;
-    let mut skip = (start_col % 64) / stride;
+    let mut skip = (start_col % 64) / S;
     let value = value & low_mask(count);
     let mut consumed = 0usize;
     while consumed < count {
-        let take = (bpl - skip).min(count - consumed);
+        let take = (64 / S - skip).min(count - consumed);
         let chunk = (value >> consumed) & low_mask(take);
-        let spread = scatter(chunk << skip, stride) << phase;
-        let col_mask = scatter(low_mask(take) << skip, stride) << phase;
+        let spread = scatter::<S>(chunk << skip) << phase;
+        let col_mask = scatter::<S>(low_mask(take) << skip) << phase;
         let cur = row.as_limbs()[b];
         row.set_limb(b, (cur & !col_mask) | spread);
         consumed += take;
@@ -344,6 +363,7 @@ impl RowLayout {
     ///
     /// Panics if the bit range falls outside the word's data bits
     /// (`width` must be `1..=64`) or the slice is shorter than the row.
+    #[inline]
     pub fn extract_data_u64_from_limbs(
         &self,
         limbs: &[u64],
@@ -387,12 +407,28 @@ impl RowLayout {
     /// code stores more than 64 check bits.
     pub fn extract_check_u64(&self, row: &Bits, word: usize) -> u64 {
         assert_eq!(row.len(), self.row_cols(), "row width mismatch");
+        self.extract_check_u64_from_limbs(row.as_limbs(), word)
+    }
+
+    /// The limb-slice core of [`RowLayout::extract_check_u64`], with the
+    /// same snapshot rules as
+    /// [`RowLayout::extract_data_u64_from_limbs`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `word` is out of range, the code stores more than 64
+    /// check bits, or the slice is shorter than the row.
+    #[inline]
+    pub fn extract_check_u64_from_limbs(&self, limbs: &[u64], word: usize) -> u64 {
         assert!(word < self.interleave, "word {word} out of range");
         assert!(self.check_bits <= 64, "check word wider than 64 bits");
+        assert!(
+            limbs.len() >= self.row_cols().div_ceil(64),
+            "limb snapshot shorter than one row"
+        );
         if self.check_bits == 0 {
             return 0;
         }
-        let limbs = row.as_limbs();
         let base = self.data_bits * self.interleave;
         if fast_stride(self.interleave) {
             return gather_span(limbs, base + word, self.interleave, self.check_bits);
@@ -404,6 +440,57 @@ impl RowLayout {
             col += self.interleave;
         }
         out
+    }
+
+    /// Bitmask of the words of a raw limb snapshot that may hold `value`
+    /// in data bits `0..width` (bit `w` for word `w`, words `0..64`):
+    /// every word that does is reported, so a clear bit rules a word out
+    /// and a set bit still needs confirming by extraction. For a
+    /// limb-kernel interleave degree (1, 2, 4 or 8) the test runs in the
+    /// interleaved column domain on the row's first limb, which holds the
+    /// low `64 / interleave` data bits of every word: `value`'s bits are
+    /// spread once and replicated across the words, XORed with the limb,
+    /// and the differing columns folded onto their word — a few limb
+    /// operations for the whole row, with no per-word extraction (and a
+    /// false candidate only once in `2^(64 / interleave)` for random
+    /// data). Other degrees compare each word's extracted bits exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is not in `1..=min(64, data_bits)` or the slice
+    /// is shorter than the row.
+    #[inline]
+    pub fn candidate_words(&self, limbs: &[u64], value: u64, width: usize) -> u64 {
+        assert!(
+            (1..=64).contains(&width) && width <= self.data_bits,
+            "u64 window 0+{width} outside {} data bits",
+            self.data_bits
+        );
+        let words = self.interleave.min(64);
+        if !fast_stride(self.interleave) {
+            return (0..words)
+                .filter(|&w| self.extract_data_u64_from_limbs(limbs, w, 0, width) == value)
+                .fold(0, |mask, w| mask | 1 << w);
+        }
+        let bits = width.min(64 / self.interleave);
+        // Spreading to stride `interleave` leaves `interleave - 1` zero
+        // columns above each bit; multiplying by `interleave` ones copies
+        // each bit into every word's column without carries.
+        let spread = match self.interleave {
+            1 => scatter::<1>(value),
+            2 => scatter::<2>(value),
+            4 => scatter::<4>(value),
+            _ => scatter::<8>(value),
+        };
+        let want = spread.wrapping_mul(low_mask(self.interleave));
+        let mut diff = (limbs[0] ^ want) & low_mask(bits * self.interleave);
+        // Fold every column onto its word's lane `col % interleave`.
+        let mut step = 32;
+        while step >= self.interleave {
+            diff |= diff >> step;
+            step >>= 1;
+        }
+        !diff & low_mask(words)
     }
 
     /// Writes `width` data bits (`value`, at `bit_offset`) and the full

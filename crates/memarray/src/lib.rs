@@ -9,7 +9,7 @@
 //! * [`VerticalParity`] — the interleaved vertical parity rows (the
 //!   correction half of 2D coding), maintained by read-before-write;
 //! * [`BankScheme`] — the immutable shared half of a bank (codec with
-//!   its precomputed tables, layout, clean masks), built once per
+//!   its precomputed tables, layout, clean-check tables), built once per
 //!   distinct [`TwoDConfig`] and shared by every bank via `Arc`;
 //! * [`TwoDArray`] — the complete 2D-protected bank: per-word horizontal
 //!   coding, vertical parity updates, in-line SECDED correction, and the

@@ -3,7 +3,7 @@
 //! A [`TwoDConfig`] fully determines everything about a bank that never
 //! changes after construction: the horizontal codec (with its
 //! precomputed parity/syndrome tables), the physical [`RowLayout`], the
-//! row-level clean masks derived from the codec's parity matrix, and the
+//! clean-check tables derived from the codec's parity matrix, and the
 //! vertical-parity geometry. [`BankScheme`] packages exactly that state,
 //! and [`BankScheme::shared`] hands out one `Arc` per distinct config,
 //! so an N-bank cache — or the data and tag arrays of one cache — pays
@@ -38,45 +38,140 @@ fn scheme_registry() -> &'static SchemeRegistry {
 }
 
 /// The immutable shared part of a 2D-protected bank: codec, layout, and
-/// the precomputed masks every access path checks against.
+/// the precomputed tables every access path checks against.
 ///
 /// Construction is comparatively expensive (the codec builds its parity
-/// and syndrome tables, and one clean mask is derived per check equation
-/// per interleaved word); cloning the `Arc` is free. Both the data and
-/// tag arrays of a cache, and every bank of a banked cache, share one
+/// and syndrome tables, and the clean-check tables are derived from the
+/// parity matrix); cloning the `Arc` is free. Both the data and tag
+/// arrays of a cache, and every bank of a banked cache, share one
 /// instance per distinct [`TwoDConfig`].
+///
+/// # Why re-encoding is the clean check
+///
+/// Every horizontal code in the workspace is linear over GF(2): the
+/// check word of data `d` is `H·d` for the code's parity matrix `H`
+/// (row `i` of [`ecc::Code::parity_matrix`] is the check word of the
+/// `i`-th data unit vector). The textbook clean check evaluates each
+/// check equation `c` as the parity of the row under a mask holding the
+/// data columns with `H[i][c] = 1` plus stored check column `c`, i.e.
+/// `(H·d)_c ⊕ stored_c`. All equations are zero exactly when
+/// `H·d = stored`, so "every masked parity is even" and "the re-encoded
+/// data equals the stored check word" are the same predicate.
+///
+/// For words of at most 64 data bits under codes of at most 64 check
+/// bits, single-word checks evaluate the second form. `H·d` is the XOR of
+/// `H·(nibble_k << 4k)` over the data's 4-bit nibbles (linearity again),
+/// so one 16-entry table per nibble position turns the encode into one
+/// lookup per nibble, with entries as narrow as the check word: 256
+/// bytes for the paper's EDC8 over 64-bit words. A verify is then one
+/// strided gather of the data, one of the check bits, the lookups and
+/// one compare, with no popcount (the baseline x86-64 target has no
+/// POPCNT instruction), and the gathered data is the value a read
+/// returns. The same table is the u64 encode lane of writes for every
+/// code of at most 64 check bits.
+///
+/// The per-equation masks of the first form remain where they measure
+/// faster or are the only option: codes with more than 64 check bits;
+/// words wider than 64 data bits (the paper's 256-bit L2 words, where
+/// the SIMD-folded masks beat four gathers and 64 lookups, about 70 vs
+/// 135 ns per word on a 2 GHz Xeon); and the scrubber's batched sweep
+/// ([`BankScheme::rows_clean_limbs`]), which streams a whole slice
+/// through each mask (`scrub.slice_clean` in `BENCH_scrub.json`).
 pub struct BankScheme {
     config: TwoDConfig,
     hcode: Arc<dyn Code + Send + Sync>,
     layout: RowLayout,
-    /// Row-level clean masks, flattened `[word * check_bits + c]`: the
-    /// horizontal code is linear, so word `word` stores a self-consistent
-    /// codeword iff `parity(row & mask) == 0` for each of its check
-    /// equations. Lets reads, writes, and recovery scans check
-    /// cleanliness with limb AND+popcount instead of per-bit extraction
-    /// and a full decode.
+    /// The nibble-sliced encode map, present whenever the code stores at
+    /// most 64 check bits: the u64 encode lane of writes, and the
+    /// re-encode clean check of words of at most 64 data bits.
+    encode: Option<EncodeTable>,
+    /// Row-level clean masks, flattened `[word * check_bits + c]`: check
+    /// equation `c` of word `word` holds iff `parity(row & mask) == 0`
+    /// (the clean check wherever the scheme does not re-encode).
     clean_masks: Vec<Bits>,
     /// Nonzero limb range `[lo, hi)` of each clean mask, index-aligned
     /// with `clean_masks`. An interleaved check equation touches a
     /// handful of neighbouring columns, so its mask is nonzero in only
-    /// one or two of a row's limbs; the spans let the hot verify loops
-    /// skip the all-zero remainder.
+    /// one or two of a row's limbs; the spans let the parity folds skip
+    /// the all-zero remainder.
     clean_mask_spans: Vec<(u16, u16)>,
     /// All physical columns (data + check) belonging to each word, used
     /// for limb-level column-intersection during column-mode recovery.
     word_col_masks: Vec<Bits>,
-    /// Per-data-bit check words packed into `u64`s: entry `i` is the
-    /// check word of the `i`-th data unit vector. Because every code in
-    /// the workspace is linear over GF(2), the check word of any data
-    /// pattern — including an XOR *delta* between an old and a new word —
-    /// is the XOR-fold of these masks over its set bits. Present whenever
-    /// the code stores at most 64 check bits; this is what lets the u64
-    /// write fast lane re-encode without calling into the codec (and
-    /// without allocating).
-    check_masks_u64: Option<Vec<u64>>,
     /// When true (SECDED horizontal), single-bit errors found on reads
     /// are corrected in-line without engaging 2D recovery.
     inline_correct: bool,
+}
+
+/// The code's encode map sliced by data nibble: row `k`, entry `v` is
+/// the check word of data `v << 4k`. Entries take the narrowest integer
+/// that holds the check word, so the table stays a few hundred bytes for
+/// the paper's codes.
+enum EncodeTable {
+    U8(Vec<[u8; 16]>),
+    U16(Vec<[u16; 16]>),
+    U32(Vec<[u32; 16]>),
+    U64(Vec<[u64; 16]>),
+}
+
+impl EncodeTable {
+    fn new(parity_matrix: &[Bits], check_bits: usize) -> Self {
+        let unit: Vec<u64> = parity_matrix
+            .iter()
+            .map(|row| row.as_limbs().first().copied().unwrap_or(0))
+            .collect();
+        let rows: Vec<[u64; 16]> = unit
+            .chunks(4)
+            .map(|bits| {
+                let mut row = [0u64; 16];
+                for (v, entry) in row.iter_mut().enumerate() {
+                    for (j, &check) in bits.iter().enumerate() {
+                        if (v >> j) & 1 == 1 {
+                            *entry ^= check;
+                        }
+                    }
+                }
+                row
+            })
+            .collect();
+        // The check word fits the narrow type, so the casts are exact.
+        fn narrow<T>(rows: &[[u64; 16]], cast: impl Fn(u64) -> T) -> Vec<[T; 16]> {
+            rows.iter().map(|row| row.map(&cast)).collect()
+        }
+        match check_bits {
+            0..=8 => EncodeTable::U8(narrow(&rows, |c| c as u8)),
+            9..=16 => EncodeTable::U16(narrow(&rows, |c| c as u16)),
+            17..=32 => EncodeTable::U32(narrow(&rows, |c| c as u32)),
+            _ => EncodeTable::U64(rows),
+        }
+    }
+
+    /// Check word of the `width` bits of `value` placed at `bit_offset`
+    /// (caller guarantees the window lies inside the data word).
+    #[inline]
+    fn encode(&self, bit_offset: usize, value: u64, width: usize) -> u64 {
+        let shift = bit_offset & 3;
+        let bits = u128::from(value & crate::layout::low_mask(width)) << shift;
+        let first = bit_offset >> 2;
+        let nibbles = (shift + width).div_ceil(4);
+        match self {
+            EncodeTable::U8(t) => fold(&t[first..first + nibbles], bits),
+            EncodeTable::U16(t) => fold(&t[first..first + nibbles], bits),
+            EncodeTable::U32(t) => fold(&t[first..first + nibbles], bits),
+            EncodeTable::U64(t) => fold(&t[first..first + nibbles], bits),
+        }
+    }
+}
+
+/// XOR of one table entry per nibble of `bits`, low nibble first.
+#[inline]
+fn fold<T: Copy + Into<u64>>(rows: &[[T; 16]], mut bits: u128) -> u64 {
+    let mut acc = 0u64;
+    for row in rows {
+        acc ^= row[(bits & 15) as usize].into();
+        bits >>= 4;
+    }
+    acc
 }
 
 impl BankScheme {
@@ -126,12 +221,7 @@ impl BankScheme {
             }
             word_col_masks.push(cols);
         }
-        let check_masks_u64 = (check_bits <= 64).then(|| {
-            parity_matrix
-                .iter()
-                .map(|row| row.as_limbs().first().copied().unwrap_or(0))
-                .collect()
-        });
+        let encode = (check_bits <= 64).then(|| EncodeTable::new(&parity_matrix, check_bits));
         let clean_mask_spans = clean_masks
             .iter()
             .map(|mask| {
@@ -145,10 +235,10 @@ impl BankScheme {
             config,
             hcode,
             layout,
+            encode,
             clean_masks,
             clean_mask_spans,
             word_col_masks,
-            check_masks_u64,
             inline_correct,
         }
     }
@@ -208,12 +298,14 @@ impl BankScheme {
     }
 
     /// Whether word `word` of a physical row stores a self-consistent
-    /// codeword (its stored check equals the re-encode of its data),
-    /// checked at limb granularity against the precomputed clean masks.
+    /// codeword (its stored check equals the re-encode of its data).
     /// Equivalent to `decode(..) == Decoded::Clean` for the linear codes
     /// this crate uses.
     #[inline]
     pub fn word_clean(&self, row: &Bits, word: usize) -> bool {
+        if self.reencodes() {
+            return self.word_clean_limbs(row.as_limbs(), word);
+        }
         let cb = self.hcode.check_bits();
         self.clean_masks[word * cb..(word + 1) * cb]
             .iter()
@@ -222,11 +314,11 @@ impl BankScheme {
 
     /// [`BankScheme::word_clean`] over a raw limb snapshot of one
     /// physical row instead of a `Bits`. The slice must hold the full row
-    /// (`cols().div_ceil(64)` limbs); the clean masks are zero in their
-    /// padding bits, so any garbage beyond `cols()` in the snapshot is
-    /// masked out. This is the verification step of the optimistic read
-    /// probe, which works on stack copies of row limbs and must not
-    /// allocate or borrow the grid.
+    /// (`cols().div_ceil(64)` limbs); only the word's own columns are
+    /// read, so any garbage beyond `cols()` in the snapshot is ignored.
+    /// This is the verification step of the optimistic read probe, which
+    /// works on stack copies of row limbs and must not allocate or
+    /// borrow the grid.
     ///
     /// # Panics
     ///
@@ -234,6 +326,11 @@ impl BankScheme {
     /// range.
     #[inline]
     pub fn word_clean_limbs(&self, limbs: &[u64], word: usize) -> bool {
+        if self.reencodes() {
+            return self
+                .clean_data_u64(limbs, word, 0, self.layout.data_bits())
+                .is_some();
+        }
         let cb = self.hcode.check_bits();
         let base = word * cb;
         assert!(
@@ -250,13 +347,61 @@ impl BankScheme {
             })
     }
 
+    /// Whether single-word checks re-encode: words of at most 64 data
+    /// bits under a code of at most 64 check bits, where one gather
+    /// yields the whole data word.
+    #[inline]
+    fn reencodes(&self) -> bool {
+        self.encode.is_some() && self.layout.data_bits() <= 64
+    }
+
+    /// Verified read of `width` data bits at `bit_offset` of word `word`
+    /// from a raw limb snapshot: the data bits when the word checks
+    /// clean, `None` otherwise. For words of at most 64 data bits under
+    /// a re-encode check this is one fused step — a single strided
+    /// gather yields both the bits to encode and the bits to return —
+    /// rather than a check followed by a second extraction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `word` is out of range, the bit window falls outside
+    /// the word's data bits (`width` must be `1..=64`), or the slice is
+    /// shorter than one row.
+    #[inline]
+    pub fn clean_data_u64(
+        &self,
+        limbs: &[u64],
+        word: usize,
+        bit_offset: usize,
+        width: usize,
+    ) -> Option<u64> {
+        let layout = &self.layout;
+        let data_bits = layout.data_bits();
+        if let (Some(table), true) = (&self.encode, data_bits <= 64) {
+            assert!(
+                (1..=64).contains(&width) && bit_offset + width <= data_bits,
+                "u64 window {bit_offset}+{width} outside {data_bits} data bits"
+            );
+            let data = layout.extract_data_u64_from_limbs(limbs, word, 0, data_bits);
+            if table.encode(0, data, data_bits) != layout.extract_check_u64_from_limbs(limbs, word)
+            {
+                return None;
+            }
+            return Some((data >> bit_offset) & crate::layout::low_mask(width));
+        }
+        if !self.word_clean_limbs(limbs, word) {
+            return None;
+        }
+        Some(layout.extract_data_u64_from_limbs(limbs, word, bit_offset, width))
+    }
+
     /// Batched [`BankScheme::row_clean`] over a row-major limb block:
     /// whether *every* one of `rows` consecutive physical rows, stored
     /// `limbs_per_row` limbs apart starting at `limbs[0]`, is a
     /// self-consistent codeword in every word.
     ///
     /// This is the scrub fast path. Instead of materializing each row as
-    /// a `Bits` and walking every clean mask per row, it iterates masks
+    /// a `Bits` and checking it word by word, it iterates the clean masks
     /// in the outer loop and rows in the inner loop, so one pass per
     /// check equation streams the whole block through its one- or
     /// two-limb span ([`ecc::kernels`] folds). The block stays in L1
@@ -311,30 +456,15 @@ impl BankScheme {
     /// most 64 check bits, so check words fit one limb).
     #[inline]
     pub fn fast_u64(&self) -> bool {
-        self.check_masks_u64.is_some()
-    }
-
-    /// The check word of the `bit`-th data unit vector as a `u64` (the
-    /// `bit`-th row of the parity matrix, packed). Building a check delta
-    /// bit-by-bit folds these masks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fast lane is unavailable ([`BankScheme::fast_u64`]).
-    #[inline]
-    pub fn check_mask_u64(&self, bit: usize) -> u64 {
-        self.check_masks_u64
-            .as_ref()
-            .expect("u64 encode lane needs <=64 check bits")[bit]
+        self.encode.is_some()
     }
 
     /// Check word of a `width`-bit data pattern `value` positioned at
-    /// `bit_offset` inside an otherwise-zero data word, computed as the
-    /// XOR-fold of the precomputed per-bit check masks. By linearity this
-    /// is both "encode a narrow word" and "check-delta of a narrow data
-    /// delta"; the result is exact for full-width words too
-    /// (`bit_offset = 0`, `width = data_bits`, for words of at most
-    /// 64 data bits).
+    /// `bit_offset` inside an otherwise-zero data word: one nibble-table
+    /// lookup per 4 data bits. By linearity this is both "encode a narrow
+    /// word" and "check-delta of a narrow data delta"; the result is
+    /// exact for full-width words too (`bit_offset = 0`,
+    /// `width = data_bits`, for words of at most 64 data bits).
     ///
     /// # Panics
     ///
@@ -342,8 +472,8 @@ impl BankScheme {
     /// or the window falls outside the data word.
     #[inline]
     pub fn encode_u64(&self, bit_offset: usize, value: u64, width: usize) -> u64 {
-        let masks = self
-            .check_masks_u64
+        let table = self
+            .encode
             .as_ref()
             .expect("u64 encode lane needs <=64 check bits");
         assert!(
@@ -351,14 +481,7 @@ impl BankScheme {
             "u64 window {bit_offset}+{width} outside {} data bits",
             self.config.data_bits
         );
-        let mut rest = value & crate::layout::low_mask(width);
-        let mut check = 0u64;
-        while rest != 0 {
-            let bit = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
-            check ^= masks[bit_offset + bit];
-        }
-        check
+        table.encode(bit_offset, value, width)
     }
 }
 
@@ -408,7 +531,18 @@ mod tests {
     #[test]
     fn encode_u64_matches_codec() {
         use ecc::Bits;
-        for kind in [CodeKind::Edc(8), CodeKind::Secded] {
+        // Every code the workspace builds stores at most 64 check bits
+        // over 64-bit words, so each gets the nibble-table encode.
+        let kinds = [
+            CodeKind::Edc(4),
+            CodeKind::Edc(8),
+            CodeKind::Edc(16),
+            CodeKind::Secded,
+            CodeKind::Dected,
+            CodeKind::Qecped,
+            CodeKind::Oecned,
+        ];
+        for kind in kinds {
             let scheme = BankScheme::new(TwoDConfig {
                 rows: 64,
                 horizontal: kind,
@@ -435,6 +569,12 @@ mod tests {
                 .encode(&Bits::from_u64(0xABu64 << 20, 64))
                 .to_u64();
             assert_eq!(scheme.encode_u64(20, 0xAB, 8), narrow);
+            // A window off the nibble grid.
+            let narrow = scheme
+                .codec()
+                .encode(&Bits::from_u64(0x1ABCu64 << 22, 64))
+                .to_u64();
+            assert_eq!(scheme.encode_u64(22, 0x1ABC, 13), narrow);
         }
     }
 
