@@ -25,13 +25,14 @@
 //! and the Chien search).
 
 use bench::{alloc_counter, bench_json};
+use cachesim::protected::STORE_ROWS;
 use cachesim::{generate_ops, run_campaign, run_traffic, CampaignConfig, Op, TrafficConfig};
 use ecc::{Bch, Bits, Code, CodeKind, Edc, Secded};
 use memarray::{ErrorShape, TwoDArray, TwoDConfig};
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-use twod_cache::{CacheConfig, ConcurrentBankedCache, ProtectedCache, LINE_BYTES};
+use twod_cache::{CacheConfig, ConcurrentBankedCache, ProtectedCache, TwoDScheme, LINE_BYTES};
 
 /// With the `count-allocs` feature the perf binary runs under the
 /// counting allocator, so every row additionally reports allocs/op —
@@ -451,6 +452,8 @@ fn service_samples(quick: bool, filter: &Option<String>) -> Vec<Sample> {
 ///
 /// * `slice_clean` / `full_pass_clean` — detection-side scrub cost on a
 ///   clean bank (per 32-row slice, per whole-bank pass);
+/// * `full_pass_clean_l2` — one whole-bank pass over the simulator
+///   store's 544-row L2-preset bank, dense random data;
 /// * `repair_cluster_16x16` — scrub-detected 16x16 cluster repair;
 /// * `scrub_throughput_gbps` — GB/s of physical storage swept by the
 ///   clean 32-row slice (derived from `slice_clean`; the value lands in
@@ -478,6 +481,25 @@ fn scrub_samples(runner: &mut Runner, quick: bool) -> Vec<Sample> {
     }
     runner.bench("scrub", "slice_clean", || bank.scrub_step(32).unwrap());
     runner.bench("scrub", "full_pass_clean", || bank.scrub().unwrap());
+    // The simulator store's bank: the paper's L2 preset (EDC16 over two
+    // 256-bit words per row) at 544 rows, filled with seeded random words
+    // so no limb is zero and every row takes the full syndrome walk.
+    let mut l2 = TwoDArray::new(TwoDScheme::l2_paper().bank_config(STORE_ROWS));
+    let mut state = 0x5EED_12B0_0000_0001u64;
+    for r in 0..l2.rows() {
+        for w in 0..l2.words_per_row() {
+            let limbs: Vec<u64> = (0..4)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state
+                })
+                .collect();
+            l2.write_word(r, w, &Bits::from_limbs(&limbs, 256));
+        }
+    }
+    runner.bench("scrub", "full_pass_clean_l2", || l2.scrub().unwrap());
     runner.bench("scrub", "repair_cluster_16x16", || {
         bank.inject(ErrorShape::Cluster {
             row: 3,

@@ -7,86 +7,26 @@
 //! cargo run --release -p bench --bin sim -- --rounds 12 --seed 7
 //! ```
 //!
-//! Two artifacts land in `--out-dir` (default `target/sim`):
-//!
-//! * `sim_report.json` — the classification report
-//!   ([`cachesim::SimCampaignOutcome`]): byte-identical across runs with
-//!   the same seed and round count (the `sim-smoke` CI lane runs the
-//!   quick campaign twice and `cmp`s the files);
-//! * `BENCH_sim.json` — timing rows (cycles/ref, MSHR occupancy,
-//!   correction-stall fraction; runner-dependent) plus `sim_rates.*`
-//!   rows carrying the NE/CE/DUE/SDC counts, which `bench_gate.py`
-//!   pins *exactly* against the committed baseline.
+//! The artifact is `sim_report.json` in `--out-dir` (default
+//! `target/sim`): the classification report
+//! ([`cachesim::SimCampaignOutcome`]), timing figures included. It is
+//! byte-identical across runs with the same seed and round count, and
+//! the quick campaign's report is pinned byte for byte by
+//! `crates/cachesim/tests/data/sim_report_quick.json` (the `sim-smoke`
+//! CI lane runs it twice and `cmp`s both against each other and the
+//! golden).
 //!
 //! The process exits nonzero on any SDC under 2D, any unaccounted
 //! fault, or any `expect_ce_2d` scenario the 2D scheme failed to
 //! correct.
 
-use bench::bench_json::{self, BenchRow};
 use bench::{parse_count, parse_seed, take_value, usage_error};
-use cachesim::{run_sim_campaign, SimCampaignConfig, SimCampaignOutcome};
+use cachesim::{run_sim_campaign, SimCampaignConfig};
 use std::path::PathBuf;
 
 /// Default seed of the pinned CI campaign. Changing it invalidates the
-/// committed `BENCH_sim.json` baseline and the recorded reports.
+/// committed golden report.
 const DEFAULT_SEED: u64 = 0x5EED_51D3_CA4C_0001;
-
-fn bench_rows_json(outcome: &SimCampaignOutcome) -> String {
-    let mut rows = Vec::new();
-    for report in &outcome.schemes {
-        let label = report.scheme.label();
-        let t = &report.sim;
-        // Timing rows: wall-clock-free but load-dependent proxies; the
-        // gate treats `sim.*` as runner-dependent (presence-enforced).
-        rows.push(BenchRow {
-            name: "sim".to_string(),
-            op: format!("cycles_per_ref_{label}"),
-            mean_ns: t.cycles_per_ref(),
-            iters: t.references,
-            allocs_per_op: None,
-        });
-        rows.push(BenchRow {
-            name: "sim".to_string(),
-            op: format!("mshr_occupancy_mean_{label}"),
-            mean_ns: t.mshr_occupancy_mean(),
-            iters: t.cycles,
-            allocs_per_op: None,
-        });
-        rows.push(BenchRow {
-            name: "sim".to_string(),
-            op: format!("mshr_peak_{label}"),
-            mean_ns: t.mshr_peak as f64,
-            iters: t.cycles,
-            allocs_per_op: None,
-        });
-        rows.push(BenchRow {
-            name: "sim".to_string(),
-            op: format!("correction_stall_frac_{label}"),
-            mean_ns: t.correction_stall_fraction(),
-            iters: t.correction_stall_cycles.max(1),
-            allocs_per_op: None,
-        });
-        // Rate rows: deterministic classification counts, pinned
-        // *exactly* by the gate (any drift is a semantic change that
-        // demands a reviewed baseline refresh).
-        let tally = &report.totals;
-        for (op, count) in [
-            ("ne", tally.ne),
-            ("ce", tally.ce),
-            ("due", tally.due),
-            ("sdc", tally.sdc),
-        ] {
-            rows.push(BenchRow {
-                name: "sim_rates".to_string(),
-                op: format!("{op}_{label}"),
-                mean_ns: count as f64,
-                iters: tally.total(),
-                allocs_per_op: None,
-            });
-        }
-    }
-    bench_json::render("quick", &rows)
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -161,10 +101,6 @@ fn main() {
     std::fs::write(&report_path, outcome.to_json())
         .unwrap_or_else(|e| panic!("writing {}: {e}", report_path.display()));
     println!("wrote {}", report_path.display());
-    let bench_path = out_dir.join("BENCH_sim.json");
-    std::fs::write(&bench_path, bench_rows_json(&outcome))
-        .unwrap_or_else(|e| panic!("writing {}: {e}", bench_path.display()));
-    println!("wrote {}", bench_path.display());
 
     if !outcome.healthy() {
         eprintln!("sim campaign UNHEALTHY: SDC, unaccounted fault, or broken 2D expectation");

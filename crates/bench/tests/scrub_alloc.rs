@@ -1,7 +1,8 @@
 //! Allocation-regression pin for the background self-healing lanes:
-//! clean scrub slices (including the wrap check) and the scratch-based
-//! BCH decode must perform ZERO heap allocations — the contract that
-//! makes background scrubbing as cheap as the hit lanes.
+//! clean scrub slices (including the wrap check), full scrub passes and
+//! row audits of the simulator store's L2-preset bank, and the
+//! scratch-based BCH decode must perform ZERO heap allocations — the
+//! contract that makes background scrubbing as cheap as the hit lanes.
 //!
 //! Separate binary from `alloc_regression.rs` on purpose: the counting
 //! allocator is process-global, so each test binary registers its own
@@ -10,7 +11,7 @@
 
 use bench::alloc_counter::{self, CountingAlloc};
 use ecc::{Bch, Bits, Code, CodeKind, DecodeScratch};
-use memarray::{TwoDArray, TwoDConfig};
+use memarray::{EngineError, ReadKind, TwoDArray, TwoDConfig};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -36,6 +37,7 @@ fn assert_zero_allocs(label: &str, mut f: impl FnMut()) {
 #[test]
 fn zero_allocation_scrub_paths() {
     clean_scrub_slices();
+    clean_l2_audits();
     bch_decode_into();
 }
 
@@ -64,6 +66,33 @@ fn clean_scrub_slices() {
             let slice = bank.scrub_step(32).unwrap();
             assert_eq!(slice.dirty_rows, 0);
             assert!(!slice.recovered);
+        }
+    });
+}
+
+/// The simulator store's bank (the L2 preset, EDC16 over two 256-bit
+/// words per row, 544 rows), clean and dense: a full scrub pass (row
+/// syndromes plus the raw-limb stripe audit) and a row audit of every
+/// row into caller buffers must never allocate.
+fn clean_l2_audits() {
+    let mut bank = TwoDArray::new(twod_cache::TwoDScheme::l2_paper().bank_config(544));
+    for r in 0..bank.rows() {
+        for w in 0..bank.words_per_row() {
+            let limbs = [r as u64, w as u64, !(r as u64), u64::MAX];
+            bank.write_word(r, w, &Bits::from_limbs(&limbs, 256));
+        }
+    }
+    let mut data = vec![Bits::zeros(256); bank.words_per_row()];
+    let mut reads: Vec<Result<(ReadKind, u64), EngineError>> =
+        vec![Ok((ReadKind::Clean, 0)); bank.words_per_row()];
+    assert!(bank.scrub().unwrap());
+    assert_zero_allocs("clean L2 scrub passes and row audits", || {
+        for _ in 0..4 {
+            assert!(bank.scrub().unwrap());
+        }
+        for r in 0..bank.rows() {
+            bank.read_row_timed(r, &mut data, &mut reads);
+            assert!(reads.iter().all(|read| read == &Ok((ReadKind::Clean, 0))));
         }
     });
 }

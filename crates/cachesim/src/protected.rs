@@ -33,7 +33,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use ecc::Bits;
-use memarray::{BankScheme, ErrorShape, ReadKind, TwoDArray};
+use memarray::{BankScheme, EngineError, ErrorShape, ReadKind, TwoDArray};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use reliability::montecarlo::{projected_retirements, MeasuredRates};
@@ -234,6 +234,10 @@ pub struct ProtectedStore {
     evidence: EventEvidence,
     words_per_row: usize,
     data_bits: usize,
+    /// Row-audit landing buffers of [`ProtectedStore::resolve_bank`], one
+    /// per word of a row.
+    row_data: Vec<Bits>,
+    row_reads: Vec<Result<(ReadKind, u64), EngineError>>,
 }
 
 impl ProtectedStore {
@@ -257,6 +261,8 @@ impl ProtectedStore {
             evidence: EventEvidence::default(),
             words_per_row,
             data_bits,
+            row_data: vec![Bits::zeros(data_bits); words_per_row],
+            row_reads: vec![Ok((ReadKind::Clean, 0)); words_per_row],
         }
     }
 
@@ -376,14 +382,22 @@ impl ProtectedStore {
     /// Sweeps `bank` after a fault event: reads back *every* word slot
     /// against the model (so damage outside the working set cannot hide)
     /// and finishes with a scrub pass.
+    ///
+    /// Each row is read by one row audit ([`TwoDArray::read_row_timed`]:
+    /// one clean check per row, per-word reads only from a dirty word
+    /// on), and the model, already in slot order, is merge-joined
+    /// alongside instead of looked up per word.
     pub fn resolve_bank(&mut self, bank: usize) {
+        let mut model = self.model[bank].iter().peekable();
+        let mut key = 0u32;
         for row in 0..STORE_ROWS {
-            for word in 0..self.words_per_row {
-                let key = (row * self.words_per_row + word) as u32;
-                match self.banks[bank].read_word_timed(row, word) {
-                    Ok((outcome, cycles)) => {
-                        let expected = self.model[bank].get(&key);
-                        note_read(&mut self.evidence, outcome.kind(), outcome.data(), expected);
+            self.banks[bank].read_row_timed(row, &mut self.row_data, &mut self.row_reads);
+            for (read, data) in self.row_reads.iter().zip(&self.row_data) {
+                let expected = model.next_if(|&(&k, _)| k == key).map(|(_, v)| v);
+                key += 1;
+                match read {
+                    Ok((kind, cycles)) => {
+                        note_read(&mut self.evidence, *kind, data, expected);
                         self.stats.penalty_cycles += cycles;
                     }
                     Err(_) => self.evidence.uncorrectable += 1,
@@ -396,17 +410,17 @@ impl ProtectedStore {
         }
     }
 
-    /// Replaces `bank` with a fresh array (clearing stuck faults) and
-    /// replays the modelled contents — the "retire and remap" step
-    /// between fault events.
+    /// Resets `bank` to a fresh array in place (clearing stuck faults,
+    /// keeping its buffers) and replays the modelled contents — the
+    /// "retire and remap" step between fault events.
     pub fn rebuild_bank(&mut self, bank: usize) {
-        let mut fresh = TwoDArray::from_scheme(Arc::clone(&self.scheme));
+        let array = &mut self.banks[bank];
+        array.reset();
         for (&key, value) in &self.model[bank] {
             let row = key as usize / self.words_per_row;
             let word = key as usize % self.words_per_row;
-            fresh.write_word(row, word, value);
+            array.write_word(row, word, value);
         }
-        self.banks[bank] = fresh;
     }
 }
 
@@ -907,6 +921,34 @@ mod tests {
         store.resolve_bank(0);
         let ev = store.take_evidence();
         assert_eq!(ev, EventEvidence::default(), "rebuild must restore health");
+    }
+
+    #[test]
+    fn in_place_rebuild_equals_fresh_bank() {
+        let mut store = ProtectedStore::new(StoreScheme::TwoD);
+        for line in (0..4_000u64).step_by(7) {
+            store.writeback(line);
+        }
+        // Damage bank 0 past repair, with a stuck-at cell and a recovery
+        // behind it, so the reset has buffers, overlay and stats to undo.
+        inject_scenario(&mut store, 5, 0, 0);
+        inject_scenario(&mut store, 3, 0, 0);
+        store.resolve_bank(0);
+        store.inject_hard(0, ErrorShape::Single { row: 9, col: 9 }, true);
+        assert!(store.banks[0].stats().recoveries > 0);
+        assert!(!store.banks[0].fault_map().is_empty());
+        store.rebuild_bank(0);
+        let mut fresh = TwoDArray::from_scheme(Arc::clone(&store.scheme));
+        for (&key, value) in &store.model[0] {
+            let key = key as usize;
+            fresh.write_word(key / store.words_per_row, key % store.words_per_row, value);
+        }
+        let rebuilt = &store.banks[0];
+        assert!(rebuilt.grid() == fresh.grid(), "grids differ");
+        assert_eq!(rebuilt.vertical(), fresh.vertical());
+        assert!(rebuilt.fault_map().is_empty());
+        assert_eq!(rebuilt.stats(), fresh.stats());
+        assert_eq!(rebuilt.scrub_cursor(), fresh.scrub_cursor());
     }
 
     #[test]

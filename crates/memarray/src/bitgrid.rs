@@ -149,6 +149,11 @@ impl BitGrid {
         }
     }
 
+    /// Zeroes every cell in place.
+    pub(crate) fn clear(&mut self) {
+        self.data.fill(0);
+    }
+
     /// Limbs of storage per row (rows are padded to a limb boundary, so
     /// this is `cols().div_ceil(64)`).
     pub fn limbs_per_row(&self) -> usize {

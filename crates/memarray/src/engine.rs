@@ -315,6 +315,25 @@ impl TwoDArray {
         &self.faults
     }
 
+    /// The stored cell grid, without the stuck-at overlay.
+    pub fn grid(&self) -> &BitGrid {
+        &self.grid
+    }
+
+    /// Returns the bank to its freshly constructed content in place:
+    /// every cell and parity row zero, no stuck-at cells, zeroed stats
+    /// and scrub cursor. The buffers — grid, parity rows, scratch rows
+    /// and the recovery working set — are kept, so a bank rebuilt
+    /// between fault events does not reallocate them. The BISR remap
+    /// setting is kept too.
+    pub fn reset(&mut self) {
+        self.grid.clear();
+        self.vparity.clear();
+        self.faults = FaultMap::new();
+        self.stats = EngineStats::default();
+        self.scrub_cursor = 0;
+    }
+
     /// Captures a borrow-free, verify-only window onto this bank's cell
     /// grid for seqlock-style optimistic readers. See [`ArrayProbe`] for
     /// the full contract; in short, the probe stays valid for the bank's
@@ -343,14 +362,6 @@ impl TwoDArray {
     fn read_row_raw_into(&self, row: usize, out: &mut Bits) {
         self.grid.row_into(row, out);
         self.faults.overlay_row(row, out);
-    }
-
-    /// Whether word `word` of a physical row stores a self-consistent
-    /// codeword, checked against the scheme's precomputed clean-check
-    /// tables.
-    #[inline]
-    fn word_clean(&self, row: &Bits, word: usize) -> bool {
-        self.scheme.word_clean(row, word)
     }
 
     /// Writes a physical row; stuck cells silently retain their value
@@ -663,6 +674,52 @@ impl TwoDArray {
         Ok(outcome.kind())
     }
 
+    /// Row audit: reads every word of `row` with one clean check of the
+    /// whole row. Word `w`'s data lands in `out[w]` and its outcome in
+    /// `reads[w]`: how it was obtained and its correction latency in
+    /// array-access cycles, or why it could not be read.
+    ///
+    /// The result — outcomes, data, cycles, stats and the bank state left
+    /// behind — is exactly that of calling [`TwoDArray::read_word_timed`]
+    /// on each word in order. A clean row costs one row syndrome
+    /// ([`BankScheme::dirty_words`]) and one extraction per word, with no
+    /// allocation. From the first dirty word on, every word takes the
+    /// per-word path (inline fix, recovery or `Err`), since a fix may
+    /// rewrite the row. A word that reads as `Err` leaves its buffer
+    /// unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range, either slice's length differs
+    /// from the words-per-row interleave degree, or a buffer's width
+    /// differs from the layout's data width.
+    pub fn read_row_timed(
+        &mut self,
+        row: usize,
+        out: &mut [Bits],
+        reads: &mut [Result<(ReadKind, u64), EngineError>],
+    ) {
+        assert!(row < self.rows(), "row {row} out of range");
+        let layout = self.layout();
+        assert_eq!(out.len(), layout.interleave(), "word count mismatch");
+        assert_eq!(reads.len(), layout.interleave(), "word count mismatch");
+        self.load_scratch_row(row);
+        let dirty = self.scheme.dirty_words(self.scratch_row.as_limbs());
+        let clean_prefix = dirty.trailing_zeros() as usize;
+        for (w, (data, read)) in out.iter_mut().zip(reads.iter_mut()).enumerate() {
+            if w < clean_prefix {
+                layout.extract_data_into(&self.scratch_row, w, data);
+                self.stats.reads += 1;
+                *read = Ok((ReadKind::Clean, 0));
+                continue;
+            }
+            *read = self.read_word_timed(row, w).map(|(outcome, cycles)| {
+                data.copy_from(outcome.data());
+                (outcome.kind(), cycles)
+            });
+        }
+    }
+
     /// u64 read fast lane: returns `width` data bits of word `word`
     /// starting at `bit_offset`, straight from the row limbs, when the
     /// word is clean. Zero heap allocations. Returns `None` when the word
@@ -869,9 +926,11 @@ impl TwoDArray {
     /// state. Words the horizontal code can still fix inline do not
     /// count — they are functionally readable.
     fn row_has_uncorrectable(&self, row: &Bits) -> bool {
+        // Clean words can't be uncorrectable: one row check picks the
+        // words worth decoding.
+        let dirty = self.scheme.dirty_words(row.as_limbs());
         (0..self.words_per_row()).any(|w| {
-            // Clean words can't be uncorrectable: skip the decode.
-            if self.word_clean(row, w) {
+            if dirty >> w & 1 == 0 {
                 return false;
             }
             let data = self.layout().extract_data(row, w);
@@ -959,7 +1018,7 @@ impl TwoDArray {
                     }
                     cache.scratch.copy_from(&cache.rows[r]);
                     cache.scratch.xor_assign(&cache.stripe_syn[stripe]);
-                    if self.row_clean(&cache.scratch) {
+                    if self.scheme.row_clean(&cache.scratch) {
                         let flips = cache.stripe_syn[stripe].count_ones();
                         self.commit_row_repair(r, &mut cache, &mut report);
                         report.rows_repaired.push(r);
@@ -1057,8 +1116,8 @@ impl TwoDArray {
     ///
     /// On a clean bank with no stuck-at overlay this is allocation-free:
     /// row verification runs batched over the raw limb block
-    /// ([`BankScheme::rows_clean_limbs`]) and the stripe audit folds into
-    /// the engine scratch rows.
+    /// ([`BankScheme::rows_clean_limbs`]) and the stripe audit folds the
+    /// raw grid limbs.
     pub fn scrub(&mut self) -> Result<bool, EngineError> {
         self.stats.scrub_passes += 1;
         let was_clean = !self.any_row_failing() && !self.any_stripe_failing();
@@ -1098,10 +1157,26 @@ impl TwoDArray {
 
     /// Whether any vertical stripe has a nonzero syndrome — the
     /// allocation-free core of [`TwoDArray::failing_stripes`] for callers
-    /// that only need the boolean (the scrub wrap check). Folds each
-    /// stripe's rows into the engine scratch instead of collecting them.
+    /// that only need the boolean (the scrub wrap check). With no
+    /// stuck-at overlay the raw limb block is the observable content, so
+    /// each stripe's limbs fold straight from the grid; otherwise each
+    /// stripe's overlaid rows fold into the engine scratch.
     fn any_stripe_failing(&mut self) -> bool {
         let v = self.vparity.interleave();
+        if self.faults.is_empty() {
+            let lpr = self.grid.limbs_per_row();
+            let block = self.grid.row_range_limbs(0, self.rows());
+            return (0..v).any(|stripe| {
+                let parity = self.vparity.parity_row(stripe).as_limbs();
+                (0..lpr).any(|i| {
+                    block[stripe * lpr + i..]
+                        .iter()
+                        .step_by(v * lpr)
+                        .fold(parity[i], |acc, &limb| acc ^ limb)
+                        != 0
+                })
+            });
+        }
         for stripe in 0..v {
             self.scratch_aux.copy_from(self.vparity.parity_row(stripe));
             let mut r = stripe;
@@ -1151,10 +1226,10 @@ impl TwoDArray {
         let mut slice = ScrubSlice::default();
         // Batched fast path: with no stuck-at overlay the raw limb block
         // is the observable content, so the whole slice is verified in one
-        // mask-outer/rows-inner sweep over a single borrow of the grid —
-        // no per-row copy, no allocation. Only a dirty slice (or an active
-        // fault overlay) pays for the per-row walk that attributes
-        // dirtiness to individual rows.
+        // sweep over a single borrow of the grid — no per-row copy, no
+        // allocation. Only a dirty slice (or an active fault overlay)
+        // pays for the per-row walk that attributes dirtiness to
+        // individual rows.
         let batch_clean = self.faults.is_empty()
             && self.scheme.rows_clean_limbs(
                 self.grid.row_range_limbs(start, count),
@@ -1164,7 +1239,7 @@ impl TwoDArray {
         if !batch_clean {
             for r in start..end {
                 self.load_scratch_row(r);
-                if !self.row_clean(&self.scratch_row) {
+                if !self.scheme.row_clean(&self.scratch_row) {
                     slice.dirty_rows += 1;
                 }
             }
@@ -1191,12 +1266,6 @@ impl TwoDArray {
         Ok(slice)
     }
 
-    /// Whether every word of a physical row stores a self-consistent
-    /// codeword, checked against the precomputed clean-check tables.
-    fn row_clean(&self, row: &Bits) -> bool {
-        (0..self.words_per_row()).all(|w| self.word_clean(row, w))
-    }
-
     /// Applies the repair staged in `cache.scratch` to row `r` and
     /// patches the recovery caches: row contents, clean flag, and the
     /// stripe syndrome. The stored parity reflects intended data and
@@ -1214,7 +1283,7 @@ impl TwoDArray {
         cache.stripe_syn[stripe].xor_assign(&cache.rows[r]);
         self.read_row_raw_into(r, &mut cache.rows[r]);
         cache.stripe_syn[stripe].xor_assign(&cache.rows[r]);
-        cache.clean[r] = self.row_clean(&cache.rows[r]);
+        cache.clean[r] = self.scheme.row_clean(&cache.rows[r]);
     }
 
     /// Attempts SECDED-style inline repair of every dirty word of row `r`.
@@ -1230,8 +1299,11 @@ impl TwoDArray {
     ) -> bool {
         cache.scratch.copy_from(&cache.rows[r]);
         let mut fixed_any = false;
+        // A word fix rewrites only that word's columns, so one row check
+        // up front names every word to try.
+        let dirty = self.scheme.dirty_words(cache.scratch.as_limbs());
         for w in 0..self.words_per_row() {
-            if self.word_clean(&cache.scratch, w) {
+            if dirty >> w & 1 == 0 {
                 continue;
             }
             let data = self.layout().extract_data(&cache.scratch, w);
@@ -1246,7 +1318,7 @@ impl TwoDArray {
                 fixed_any = true;
             }
         }
-        if fixed_any && self.row_clean(&cache.scratch) {
+        if fixed_any && self.scheme.row_clean(&cache.scratch) {
             let flips =
                 ecc::kernels::xor_popcount(cache.rows[r].as_limbs(), cache.scratch.as_limbs());
             self.commit_row_repair(r, cache, report);
@@ -1272,7 +1344,7 @@ impl TwoDArray {
         // Try flipping all suspect columns in this row; verify each word.
         cache.scratch.copy_from(&cache.rows[r]);
         cache.scratch.xor_assign(suspect);
-        if self.row_clean(&cache.scratch) {
+        if self.scheme.row_clean(&cache.scratch) {
             report.bits_flipped += suspect.count_ones();
             report
                 .column_mode_bits
@@ -1286,8 +1358,11 @@ impl TwoDArray {
         // fails its check.
         cache.scratch.copy_from(&cache.rows[r]);
         let mut flipped_cols: Vec<usize> = Vec::new();
+        // Trial flips stay inside one word's columns, so the other
+        // words' verdicts from this one row check still hold.
+        let dirty = self.scheme.dirty_words(cache.scratch.as_limbs());
         for w in 0..self.words_per_row() {
-            if self.word_clean(&cache.scratch, w) {
+            if dirty >> w & 1 == 0 {
                 continue;
             }
             let word_suspects = suspect.and(self.scheme.word_col_mask(w));
@@ -1295,13 +1370,13 @@ impl TwoDArray {
                 continue;
             }
             cache.scratch.xor_assign(&word_suspects);
-            if self.word_clean(&cache.scratch, w) {
+            if self.scheme.word_clean(&cache.scratch, w) {
                 flipped_cols.extend(word_suspects.iter_ones());
             } else {
                 cache.scratch.xor_assign(&word_suspects);
             }
         }
-        if !flipped_cols.is_empty() && self.row_clean(&cache.scratch) {
+        if !flipped_cols.is_empty() && self.scheme.row_clean(&cache.scratch) {
             report.bits_flipped += flipped_cols.len();
             report
                 .column_mode_bits
@@ -1382,7 +1457,7 @@ impl RecoveryCache {
             let row = &mut self.rows[r];
             bank.read_row_raw_into(r, row);
             self.stripe_syn[r % v].xor_assign(row);
-            self.clean[r] = bank.row_clean(row);
+            self.clean[r] = bank.scheme.row_clean(row);
         }
     }
 

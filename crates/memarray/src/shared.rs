@@ -46,7 +46,7 @@ fn scheme_registry() -> &'static SchemeRegistry {
 /// arrays of a cache, and every bank of a banked cache, share one
 /// instance per distinct [`TwoDConfig`].
 ///
-/// # Why re-encoding is the clean check
+/// # Why one syndrome is the clean check
 ///
 /// Every horizontal code in the workspace is linear over GF(2): the
 /// check word of data `d` is `H·d` for the code's parity matrix `H`
@@ -55,46 +55,49 @@ fn scheme_registry() -> &'static SchemeRegistry {
 /// check equation `c` as the parity of the row under a mask holding the
 /// data columns with `H[i][c] = 1` plus stored check column `c`, i.e.
 /// `(H·d)_c ⊕ stored_c`. All equations are zero exactly when
-/// `H·d = stored`, so "every masked parity is even" and "the re-encoded
-/// data equals the stored check word" are the same predicate.
+/// `H·d = stored`, so "every masked parity is even", "the re-encoded
+/// data equals the stored check word" and "the syndrome `H·d ⊕ stored`
+/// is zero" are the same predicate.
 ///
-/// For words of at most 64 data bits under codes of at most 64 check
-/// bits, single-word checks evaluate the second form. `H·d` is the XOR of
-/// `H·(nibble_k << 4k)` over the data's 4-bit nibbles (linearity again),
-/// so one 16-entry table per nibble position turns the encode into one
-/// lookup per nibble, with entries as narrow as the check word: 256
-/// bytes for the paper's EDC8 over 64-bit words. A verify is then one
-/// strided gather of the data, one of the check bits, the lookups and
-/// one compare, with no popcount (the baseline x86-64 target has no
-/// POPCNT instruction), and the gathered data is the value a read
-/// returns. The same table is the u64 encode lane of writes for every
-/// code of at most 64 check bits.
+/// The syndrome is itself a linear map of the *physical row*: a data
+/// column of word `w` contributes its parity-matrix row, a check column
+/// its unit bit, each shifted to word `w`'s lane of `check_bits` bits.
+/// When a row's total check bits (`interleave × check_bits`) fit one
+/// `u64` — every preset — the scheme slices that map by row nibble: one
+/// 16-entry table per 4 physical columns, entries as narrow as the
+/// row's check bits (about 9 KiB for the paper's L2 preset, EDC16 over
+/// two 256-bit words). A row's syndrome, every word's check equations
+/// at once, is then the XOR of one lookup per nibble, with no gather and
+/// no popcount, and an all-zero limb contributes nothing and is skipped.
+/// Word `w` is clean iff its lane is zero. This serves every row-level
+/// check ([`BankScheme::row_clean`], [`BankScheme::dirty_words`], the
+/// scrubber's [`BankScheme::rows_clean_limbs`], recovery) and the
+/// single-word check of words wider than 64 data bits.
 ///
-/// The per-equation masks of the first form remain where they measure
-/// faster or are the only option: codes with more than 64 check bits;
-/// words wider than 64 data bits (the paper's 256-bit L2 words, where
-/// the SIMD-folded masks beat four gathers and 64 lookups, about 70 vs
-/// 135 ns per word on a 2 GHz Xeon); and the scrubber's batched sweep
-/// ([`BankScheme::rows_clean_limbs`]), which streams a whole slice
-/// through each mask (`scrub.slice_clean` in `BENCH_scrub.json`).
+/// Words of at most 64 data bits under codes of at most 64 check bits
+/// keep a per-word form that reads only the word: `H·d` is the XOR of
+/// `H·(nibble_k << 4k)` over the data's nibbles, so a second, per-word
+/// nibble table re-encodes the gathered data in one lookup per nibble
+/// (256 bytes for the paper's EDC8 over 64-bit words), and the gathered
+/// data is the value a read returns. The same table is the u64 encode
+/// lane of writes for every code of at most 64 check bits.
+///
+/// The per-equation masks of the first form remain only for rows with
+/// more than 64 check bits (the stronger BCH codes at wider interleaves,
+/// such as QEC-PED over 64-bit words at interleave 4, or a single word
+/// of more than 64 check bits), where no row syndrome fits one integer.
 pub struct BankScheme {
     config: TwoDConfig,
     hcode: Arc<dyn Code + Send + Sync>,
     layout: RowLayout,
-    /// The nibble-sliced encode map, present whenever the code stores at
-    /// most 64 check bits: the u64 encode lane of writes, and the
-    /// re-encode clean check of words of at most 64 data bits.
-    encode: Option<EncodeTable>,
-    /// Row-level clean masks, flattened `[word * check_bits + c]`: check
-    /// equation `c` of word `word` holds iff `parity(row & mask) == 0`
-    /// (the clean check wherever the scheme does not re-encode).
-    clean_masks: Vec<Bits>,
-    /// Nonzero limb range `[lo, hi)` of each clean mask, index-aligned
-    /// with `clean_masks`. An interleaved check equation touches a
-    /// handful of neighbouring columns, so its mask is nonzero in only
-    /// one or two of a row's limbs; the spans let the parity folds skip
-    /// the all-zero remainder.
-    clean_mask_spans: Vec<(u16, u16)>,
+    /// The per-word encode map sliced by data nibble, present whenever
+    /// the code stores at most 64 check bits: the u64 encode lane of
+    /// writes, and the re-encode clean check of words of at most 64 data
+    /// bits.
+    encode: Option<NibbleTable>,
+    /// The row-level clean check: one syndrome table, or per-equation
+    /// masks for rows with more than 64 check bits.
+    row_check: RowCheck,
     /// All physical columns (data + check) belonging to each word, used
     /// for limb-level column-intersection during column-mode recovery.
     word_col_masks: Vec<Bits>,
@@ -103,51 +106,68 @@ pub struct BankScheme {
     inline_correct: bool,
 }
 
-/// The code's encode map sliced by data nibble: row `k`, entry `v` is
-/// the check word of data `v << 4k`. Entries take the narrowest integer
-/// that holds the check word, so the table stays a few hundred bytes for
-/// the paper's codes.
-enum EncodeTable {
+/// How a scheme checks whole rows.
+enum RowCheck {
+    /// The row syndrome map sliced by physical nibble (rows of at most
+    /// 64 check bits). Word `w`'s syndrome is bits
+    /// `w * check_bits..(w + 1) * check_bits`.
+    Syndrome(NibbleTable),
+    /// Per-equation masks, flattened `[word * check_bits + c]`: check
+    /// equation `c` of word `word` holds iff `parity(row & mask) == 0`.
+    Masks {
+        masks: Vec<Bits>,
+        /// Nonzero limb range `[lo, hi)` of each mask, index-aligned with
+        /// `masks`. An interleaved check equation touches a handful of
+        /// neighbouring columns, so its mask is nonzero in only one or two
+        /// of a row's limbs; the spans let the parity folds skip the
+        /// all-zero remainder.
+        spans: Vec<(u16, u16)>,
+    },
+}
+
+/// A GF(2)-linear map into words of at most 64 bits, sliced by input
+/// nibble: row `k`, entry `v` is the image of `v << 4k`. Entries take the
+/// narrowest integer that holds an image, so the per-word encode table
+/// stays a few hundred bytes and the L2 row-syndrome table about 9 KiB.
+enum NibbleTable {
     U8(Vec<[u8; 16]>),
     U16(Vec<[u16; 16]>),
     U32(Vec<[u32; 16]>),
     U64(Vec<[u64; 16]>),
 }
 
-impl EncodeTable {
-    fn new(parity_matrix: &[Bits], check_bits: usize) -> Self {
-        let unit: Vec<u64> = parity_matrix
-            .iter()
-            .map(|row| row.as_limbs().first().copied().unwrap_or(0))
-            .collect();
+impl NibbleTable {
+    /// Builds the table from the image of each input unit vector
+    /// (`unit[i]` is the image of bit `i`), images `width` bits wide.
+    fn new(unit: &[u64], width: usize) -> Self {
         let rows: Vec<[u64; 16]> = unit
             .chunks(4)
             .map(|bits| {
                 let mut row = [0u64; 16];
                 for (v, entry) in row.iter_mut().enumerate() {
-                    for (j, &check) in bits.iter().enumerate() {
+                    for (j, &image) in bits.iter().enumerate() {
                         if (v >> j) & 1 == 1 {
-                            *entry ^= check;
+                            *entry ^= image;
                         }
                     }
                 }
                 row
             })
             .collect();
-        // The check word fits the narrow type, so the casts are exact.
+        // The images fit the narrow type, so the casts are exact.
         fn narrow<T>(rows: &[[u64; 16]], cast: impl Fn(u64) -> T) -> Vec<[T; 16]> {
             rows.iter().map(|row| row.map(&cast)).collect()
         }
-        match check_bits {
-            0..=8 => EncodeTable::U8(narrow(&rows, |c| c as u8)),
-            9..=16 => EncodeTable::U16(narrow(&rows, |c| c as u16)),
-            17..=32 => EncodeTable::U32(narrow(&rows, |c| c as u32)),
-            _ => EncodeTable::U64(rows),
+        match width {
+            0..=8 => NibbleTable::U8(narrow(&rows, |c| c as u8)),
+            9..=16 => NibbleTable::U16(narrow(&rows, |c| c as u16)),
+            17..=32 => NibbleTable::U32(narrow(&rows, |c| c as u32)),
+            _ => NibbleTable::U64(rows),
         }
     }
 
-    /// Check word of the `width` bits of `value` placed at `bit_offset`
-    /// (caller guarantees the window lies inside the data word).
+    /// Image of the `width` bits of `value` placed at `bit_offset`
+    /// (caller guarantees the window lies inside the input).
     #[inline]
     fn encode(&self, bit_offset: usize, value: u64, width: usize) -> u64 {
         let shift = bit_offset & 3;
@@ -155,10 +175,22 @@ impl EncodeTable {
         let first = bit_offset >> 2;
         let nibbles = (shift + width).div_ceil(4);
         match self {
-            EncodeTable::U8(t) => fold(&t[first..first + nibbles], bits),
-            EncodeTable::U16(t) => fold(&t[first..first + nibbles], bits),
-            EncodeTable::U32(t) => fold(&t[first..first + nibbles], bits),
-            EncodeTable::U64(t) => fold(&t[first..first + nibbles], bits),
+            NibbleTable::U8(t) => fold(&t[first..first + nibbles], bits),
+            NibbleTable::U16(t) => fold(&t[first..first + nibbles], bits),
+            NibbleTable::U32(t) => fold(&t[first..first + nibbles], bits),
+            NibbleTable::U64(t) => fold(&t[first..first + nibbles], bits),
+        }
+    }
+
+    /// Image of a whole input given as limbs (the table covers
+    /// `16 * limbs.len()` nibbles; extra limbs are ignored).
+    #[inline]
+    fn map_limbs(&self, limbs: &[u64]) -> u64 {
+        match self {
+            NibbleTable::U8(t) => fold_limbs(t, limbs),
+            NibbleTable::U16(t) => fold_limbs(t, limbs),
+            NibbleTable::U32(t) => fold_limbs(t, limbs),
+            NibbleTable::U64(t) => fold_limbs(t, limbs),
         }
     }
 }
@@ -170,6 +202,22 @@ fn fold<T: Copy + Into<u64>>(rows: &[[T; 16]], mut bits: u128) -> u64 {
     for row in rows {
         acc ^= row[(bits & 15) as usize].into();
         bits >>= 4;
+    }
+    acc
+}
+
+/// XOR of one table entry per nibble of `limbs`, 16 table rows per limb.
+/// An all-zero limb maps to zero, so it is skipped.
+#[inline]
+fn fold_limbs<T: Copy + Into<u64>>(rows: &[[T; 16]], limbs: &[u64]) -> u64 {
+    let mut acc = 0u64;
+    for (block, &limb) in rows.chunks_exact(16).zip(limbs) {
+        if limb == 0 {
+            continue;
+        }
+        for (k, row) in block.iter().enumerate() {
+            acc ^= row[((limb >> (4 * k)) & 15) as usize].into();
+        }
     }
     acc
 }
@@ -194,50 +242,38 @@ impl BankScheme {
         let hcode = config.horizontal.build_shared(config.data_bits);
         let layout = RowLayout::new(config.data_bits, hcode.check_bits(), config.interleave);
         let inline_correct = hcode.correctable() >= 1;
-        // Row-level clean masks: check equation c of word w covers the
-        // physical columns of the data bits feeding check bit c plus the
-        // stored check bit itself.
         let parity_matrix = hcode.parity_matrix();
         let check_bits = hcode.check_bits();
-        let mut clean_masks = Vec::with_capacity(layout.interleave() * check_bits);
-        let mut word_col_masks = Vec::with_capacity(layout.interleave());
-        for w in 0..layout.interleave() {
-            for c in 0..check_bits {
-                let mut mask = Bits::zeros(layout.row_cols());
-                for (i, check_row) in parity_matrix.iter().enumerate() {
-                    if check_row.get(c) {
-                        mask.set(layout.data_col(w, i), true);
-                    }
+        let word_col_masks = (0..layout.interleave())
+            .map(|w| {
+                let mut cols = Bits::zeros(layout.row_cols());
+                for i in 0..layout.data_bits() {
+                    cols.set(layout.data_col(w, i), true);
                 }
-                mask.set(layout.check_col(w, c), true);
-                clean_masks.push(mask);
-            }
-            let mut cols = Bits::zeros(layout.row_cols());
-            for i in 0..layout.data_bits() {
-                cols.set(layout.data_col(w, i), true);
-            }
-            for c in 0..check_bits {
-                cols.set(layout.check_col(w, c), true);
-            }
-            word_col_masks.push(cols);
-        }
-        let encode = (check_bits <= 64).then(|| EncodeTable::new(&parity_matrix, check_bits));
-        let clean_mask_spans = clean_masks
-            .iter()
-            .map(|mask| {
-                let limbs = mask.as_limbs();
-                let lo = limbs.iter().position(|&l| l != 0).unwrap_or(0);
-                let hi = limbs.iter().rposition(|&l| l != 0).map_or(0, |i| i + 1);
-                (lo as u16, hi as u16)
+                for c in 0..check_bits {
+                    cols.set(layout.check_col(w, c), true);
+                }
+                cols
             })
             .collect();
+        let encode = (check_bits <= 64).then(|| {
+            let unit: Vec<u64> = parity_matrix
+                .iter()
+                .map(|row| row.as_limbs().first().copied().unwrap_or(0))
+                .collect();
+            NibbleTable::new(&unit, check_bits)
+        });
+        let row_check = if layout.interleave() * check_bits <= 64 {
+            RowCheck::Syndrome(row_syndrome_table(&layout, &parity_matrix))
+        } else {
+            row_masks(&layout, &parity_matrix)
+        };
         BankScheme {
             config,
             hcode,
             layout,
             encode,
-            clean_masks,
-            clean_mask_spans,
+            row_check,
             word_col_masks,
             inline_correct,
         }
@@ -303,18 +339,12 @@ impl BankScheme {
     /// this crate uses.
     #[inline]
     pub fn word_clean(&self, row: &Bits, word: usize) -> bool {
-        if self.reencodes() {
-            return self.word_clean_limbs(row.as_limbs(), word);
-        }
-        let cb = self.hcode.check_bits();
-        self.clean_masks[word * cb..(word + 1) * cb]
-            .iter()
-            .all(|mask| !row.masked_parity(mask))
+        self.word_clean_limbs(row.as_limbs(), word)
     }
 
     /// [`BankScheme::word_clean`] over a raw limb snapshot of one
     /// physical row instead of a `Bits`. The slice must hold the full row
-    /// (`cols().div_ceil(64)` limbs); only the word's own columns are
+    /// (`cols().div_ceil(64)` limbs); only the row's own columns are
     /// read, so any garbage beyond `cols()` in the snapshot is ignored.
     /// This is the verification step of the optimistic read probe, which
     /// works on stack copies of row limbs and must not allocate or
@@ -331,20 +361,67 @@ impl BankScheme {
                 .clean_data_u64(limbs, word, 0, self.layout.data_bits())
                 .is_some();
         }
-        let cb = self.hcode.check_bits();
-        let base = word * cb;
+        assert!(word < self.layout.interleave(), "word {word} out of range");
         assert!(
             limbs.len() * 64 >= self.layout.row_cols(),
             "limb snapshot too short"
         );
-        self.clean_masks[base..base + cb]
-            .iter()
-            .zip(&self.clean_mask_spans[base..base + cb])
-            .all(|(mask, &(lo, hi))| {
-                // Only the mask's nonzero limb span contributes parity.
-                let (lo, hi) = (lo as usize, hi as usize);
-                !ecc::kernels::masked_parity(&limbs[lo..hi], &mask.as_limbs()[lo..hi])
-            })
+        match &self.row_check {
+            RowCheck::Syndrome(table) => self.lane(table.map_limbs(limbs), word) == 0,
+            RowCheck::Masks { masks, spans } => {
+                let cb = self.hcode.check_bits();
+                let base = word * cb;
+                masks[base..base + cb]
+                    .iter()
+                    .zip(&spans[base..base + cb])
+                    .all(|(mask, &(lo, hi))| {
+                        // Only the mask's nonzero limb span contributes parity.
+                        let (lo, hi) = (lo as usize, hi as usize);
+                        !ecc::kernels::masked_parity(&limbs[lo..hi], &mask.as_limbs()[lo..hi])
+                    })
+            }
+        }
+    }
+
+    /// Word `word`'s lane of a row syndrome.
+    #[inline]
+    fn lane(&self, syndrome: u64, word: usize) -> u64 {
+        let cb = self.hcode.check_bits();
+        (syndrome >> (word * cb)) & crate::layout::low_mask(cb)
+    }
+
+    /// Bitmask of the words of one physical row that fail their check:
+    /// bit `w` is set iff word `w` does not store a self-consistent
+    /// codeword. `0` means the whole row is clean. Under the row
+    /// syndrome this is one table walk over the row, whatever the
+    /// interleave; past 64 check bits per row it evaluates the masks
+    /// word by word. Padding bits beyond [`BankScheme::cols`] and limbs
+    /// past the row are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice is shorter than one row.
+    #[inline]
+    pub fn dirty_words(&self, limbs: &[u64]) -> u64 {
+        assert!(
+            limbs.len() * 64 >= self.layout.row_cols(),
+            "limb snapshot too short"
+        );
+        let il = self.layout.interleave();
+        match &self.row_check {
+            RowCheck::Syndrome(table) => {
+                let syndrome = table.map_limbs(limbs);
+                if syndrome == 0 {
+                    return 0;
+                }
+                (0..il).fold(0, |dirty, w| {
+                    dirty | u64::from(self.lane(syndrome, w) != 0) << w
+                })
+            }
+            RowCheck::Masks { .. } => (0..il).fold(0, |dirty, w| {
+                dirty | u64::from(!self.word_clean_limbs(limbs, w)) << w
+            }),
+        }
     }
 
     /// Whether single-word checks re-encode: words of at most 64 data
@@ -400,18 +477,17 @@ impl BankScheme {
     /// `limbs_per_row` limbs apart starting at `limbs[0]`, is a
     /// self-consistent codeword in every word.
     ///
-    /// This is the scrub fast path. Instead of materializing each row as
-    /// a `Bits` and checking it word by word, it iterates the clean masks
-    /// in the outer loop and rows in the inner loop, so one pass per
-    /// check equation streams the whole block through its one- or
-    /// two-limb span ([`ecc::kernels`] folds). The block stays in L1
-    /// (a 32-row slice of the paper geometry is 1.3 KiB) while each mask
-    /// is loaded exactly once. Returns on the first dirty equation; the
-    /// caller then re-walks the slice per-row to attribute and repair.
+    /// This is the scrub fast path: one borrow of the block, no per-row
+    /// copy. Under the row syndrome each row is one table walk (all-zero
+    /// limbs skipped); past 64 check bits per row the masks run in the
+    /// outer loop and rows in the inner loop, so each mask is loaded once
+    /// and streams the block through its one- or two-limb span
+    /// ([`ecc::kernels`] folds). Returns on the first dirty row or
+    /// equation; the caller then re-walks the slice per-row to attribute
+    /// and repair.
     ///
-    /// Padding bits beyond [`BankScheme::cols`] in each row are ignored
-    /// (the masks are zero there), matching
-    /// [`BankScheme::word_clean_limbs`].
+    /// Padding bits beyond [`BankScheme::cols`] in each row are ignored,
+    /// matching [`BankScheme::word_clean_limbs`].
     ///
     /// # Panics
     ///
@@ -426,24 +502,26 @@ impl BankScheme {
             limbs.len() >= rows * limbs_per_row,
             "limb block shorter than {rows} rows"
         );
-        for (mask, &(lo, hi)) in self.clean_masks.iter().zip(&self.clean_mask_spans) {
-            let (lo, hi) = (lo as usize, hi as usize);
-            let mask_span = &mask.as_limbs()[lo..hi];
-            let mut dirty = false;
-            for row in limbs.chunks_exact(limbs_per_row).take(rows) {
-                dirty |= ecc::kernels::masked_parity(&row[lo..hi], mask_span);
-            }
-            if dirty {
-                return false;
-            }
+        let mut block = limbs.chunks_exact(limbs_per_row).take(rows);
+        match &self.row_check {
+            RowCheck::Syndrome(table) => block.all(|row| table.map_limbs(row) == 0),
+            RowCheck::Masks { masks, spans } => masks.iter().zip(spans).all(|(mask, &(lo, hi))| {
+                let (lo, hi) = (lo as usize, hi as usize);
+                let mask_span = &mask.as_limbs()[lo..hi];
+                let mut dirty = false;
+                for row in block.clone() {
+                    dirty |= ecc::kernels::masked_parity(&row[lo..hi], mask_span);
+                }
+                !dirty
+            }),
         }
-        true
     }
 
     /// Whether every word of a physical row stores a self-consistent
     /// codeword.
+    #[inline]
     pub fn row_clean(&self, row: &Bits) -> bool {
-        (0..self.layout.interleave()).all(|w| self.word_clean(row, w))
+        self.dirty_words(row.as_limbs()) == 0
     }
 
     /// All physical columns (data + check) belonging to word `word`, as
@@ -483,6 +561,58 @@ impl BankScheme {
         );
         table.encode(bit_offset, value, width)
     }
+}
+
+/// The row syndrome map sliced by physical nibble (rows of at most 64
+/// check bits): data column `(w, i)` maps to parity-matrix row `i`
+/// shifted to word `w`'s lane, check column `(w, c)` to its unit bit in
+/// that lane, and padding columns up to the limb boundary to zero.
+fn row_syndrome_table(layout: &RowLayout, parity_matrix: &[Bits]) -> NibbleTable {
+    let cb = layout.check_bits();
+    let unit: Vec<u64> = (0..layout.row_cols().div_ceil(64) * 64)
+        .map(|col| {
+            if col >= layout.row_cols() {
+                return 0;
+            }
+            let (w, bit) = layout.col_to_word_bit(col);
+            let image = match bit.checked_sub(layout.data_bits()) {
+                None => parity_matrix[bit].as_limbs().first().copied().unwrap_or(0),
+                Some(c) => 1 << c,
+            };
+            image << (w * cb)
+        })
+        .collect();
+    NibbleTable::new(&unit, layout.interleave() * cb)
+}
+
+/// Per-equation clean masks (rows of more than 64 check bits): check
+/// equation `c` of word `w` covers the physical columns of the data bits
+/// feeding check bit `c` plus the stored check bit itself.
+fn row_masks(layout: &RowLayout, parity_matrix: &[Bits]) -> RowCheck {
+    let check_bits = layout.check_bits();
+    let mut masks = Vec::with_capacity(layout.interleave() * check_bits);
+    for w in 0..layout.interleave() {
+        for c in 0..check_bits {
+            let mut mask = Bits::zeros(layout.row_cols());
+            for (i, check_row) in parity_matrix.iter().enumerate() {
+                if check_row.get(c) {
+                    mask.set(layout.data_col(w, i), true);
+                }
+            }
+            mask.set(layout.check_col(w, c), true);
+            masks.push(mask);
+        }
+    }
+    let spans = masks
+        .iter()
+        .map(|mask| {
+            let limbs = mask.as_limbs();
+            let lo = limbs.iter().position(|&l| l != 0).unwrap_or(0);
+            let hi = limbs.iter().rposition(|&l| l != 0).map_or(0, |i| i + 1);
+            (lo as u16, hi as u16)
+        })
+        .collect();
+    RowCheck::Masks { masks, spans }
 }
 
 impl std::fmt::Debug for BankScheme {
@@ -576,6 +706,43 @@ mod tests {
                 .to_u64();
             assert_eq!(scheme.encode_u64(22, 0x1ABC, 13), narrow);
         }
+    }
+
+    #[test]
+    fn row_syndrome_serves_every_row_of_at_most_64_check_bits() {
+        let geometries = [
+            (CodeKind::Edc(8), 64, 4),
+            (CodeKind::Edc(16), 256, 2),
+            (CodeKind::Secded, 64, 2),
+            (CodeKind::Qecped, 64, 2),
+            (CodeKind::Qecped, 64, 4),
+            (CodeKind::Oecned, 256, 2),
+        ];
+        for (kind, data_bits, interleave) in geometries {
+            let scheme = BankScheme::new(TwoDConfig {
+                rows: 32,
+                horizontal: kind,
+                data_bits,
+                interleave,
+                vertical_rows: 8,
+            });
+            let fits = interleave * scheme.layout().check_bits() <= 64;
+            assert_eq!(
+                matches!(scheme.row_check, RowCheck::Syndrome(_)),
+                fits,
+                "{kind:?} x{interleave}"
+            );
+        }
+        // The L2 preset (544 columns, 9 limbs): 144 nibble rows of 16
+        // u32 entries, 9 KiB.
+        let l2 = BankScheme::new(TwoDConfig {
+            rows: 32,
+            horizontal: CodeKind::Edc(16),
+            data_bits: 256,
+            interleave: 2,
+            vertical_rows: 8,
+        });
+        assert!(matches!(&l2.row_check, RowCheck::Syndrome(NibbleTable::U32(t)) if t.len() == 144));
     }
 
     #[test]

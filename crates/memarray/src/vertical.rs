@@ -45,6 +45,14 @@ impl VerticalParity {
         }
     }
 
+    /// Zeroes every parity row in place (matching an all-zero data
+    /// array).
+    pub(crate) fn clear(&mut self) {
+        for row in &mut self.rows {
+            row.clear();
+        }
+    }
+
     /// Number of parity rows `V` (the vertical interleave factor).
     pub fn interleave(&self) -> usize {
         self.rows.len()

@@ -1,9 +1,8 @@
 //! Equivalence property tests for batched row verification.
 //!
-//! The incremental scrub path verifies whole slices with one
-//! mask-outer/rows-inner sweep over the raw limb block
-//! ([`BankScheme::rows_clean_limbs`]) instead of walking rows and words
-//! individually. These tests pin the batched verdict bit-for-bit against
+//! The incremental scrub path verifies whole slices with one sweep over
+//! the raw limb block ([`BankScheme::rows_clean_limbs`]) instead of
+//! walking rows and words individually. These tests pin the batched verdict bit-for-bit against
 //! the per-word reference path ([`BankScheme::row_clean`]) across every
 //! paper geometry — including odd tail-limb widths, where a row's last
 //! limb is only partially used — for clean blocks, single corrupted

@@ -1,15 +1,20 @@
-//! Equivalence property tests for the re-encode clean check and the
-//! interleave kernels under it.
+//! Equivalence property tests for the clean checks, the row audit and
+//! the interleave kernels under them.
 //!
 //! [`BankScheme::word_clean_limbs`] decides cleanliness by re-encoding
-//! the stored data and comparing the stored check word (codes with at
-//! most 64 check bits), or by per-equation masks (wider codes, and the
-//! scrubber's batched [`BankScheme::rows_clean_limbs`] sweep). These
-//! tests pin both forms bit-for-bit against the textbook parity-matrix
-//! check — every check equation's parity over its data columns plus its
-//! stored check column — for every horizontal [`CodeKind`] the workspace
-//! builds, on rows with 0–3 random flips and random garbage in the
-//! padding bits and limbs past the row. They also pin the strided
+//! the stored data and comparing the stored check word (words of at most
+//! 64 data bits), by the word's lane of the row syndrome (rows of at most
+//! 64 check bits), or by per-equation masks (wider rows); the row-level
+//! checks ([`BankScheme::dirty_words`], the scrubber's batched
+//! [`BankScheme::rows_clean_limbs`]) use the row syndrome or the masks.
+//! These tests pin every form bit-for-bit against the textbook
+//! parity-matrix check — every check equation's parity over its data
+//! columns plus its stored check column — for every horizontal
+//! [`CodeKind`] the workspace builds, on dense and mostly-zero rows with
+//! 0–3 random flips and random garbage in the padding bits and limbs
+//! past the row. The row audit ([`TwoDArray::read_row_timed`]) is pinned
+//! against per-word [`TwoDArray::read_word_timed`] on a twin bank under
+//! clusters, stuck-at cells and stripe collisions. They also pin the strided
 //! gather/scatter kernels of [`RowLayout`] against a per-bit reference
 //! at every start column for strides 1/2/4/8, and the tag screen
 //! ([`RowLayout::candidate_words`]) against exact per-word comparison.
@@ -17,13 +22,25 @@
 //! tests in `shared.rs`.)
 
 use ecc::{Bits, CodeKind};
-use memarray::{BankScheme, RowLayout, TwoDConfig};
+use memarray::{BankScheme, EngineError, ErrorShape, ReadKind, RowLayout, TwoDArray, TwoDConfig};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::sync::Arc;
 
+/// `(data_bits, interleave)` pairs: the L1 and L2 presets, interleave
+/// degrees with and without a limb kernel, and rows past 64 check bits.
+const GEOMETRIES: [(usize, usize); 7] = [
+    (32, 1),
+    (50, 4),
+    (64, 2),
+    (64, 3),
+    (64, 4),
+    (128, 8),
+    (256, 2),
+];
+
 /// Every horizontal code the workspace builds, at the widths it builds
-/// them, over interleave degrees with and without a limb kernel.
+/// them, over [`GEOMETRIES`].
 fn configs() -> Vec<TwoDConfig> {
     let kinds = [
         CodeKind::Edc(4),
@@ -36,7 +53,7 @@ fn configs() -> Vec<TwoDConfig> {
     ];
     let mut out = Vec::new();
     for kind in kinds {
-        for (data_bits, interleave) in [(32, 1), (50, 4), (64, 2), (64, 3), (128, 8), (256, 2)] {
+        for (data_bits, interleave) in GEOMETRIES {
             out.push(TwoDConfig {
                 rows: 1,
                 horizontal: kind,
@@ -72,8 +89,8 @@ fn reference_extract(layout: &RowLayout, row: &Bits, word: usize, off: usize, wi
     })
 }
 
-/// A row of clean codewords from random data, then `flips` random
-/// column flips.
+/// A row of clean codewords from random data (all zero when every seed
+/// is zero), then `flips` random column flips.
 fn noisy_row(scheme: &BankScheme, seeds: &[u64], flips: &[usize]) -> Bits {
     let layout = scheme.layout();
     let mut row = Bits::zeros(scheme.cols());
@@ -106,14 +123,17 @@ fn with_garbage(row: &Bits, garbage: u64, extra: usize) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The scheme's clean check (re-encode, or masks past 64 check
-    /// bits) equals the parity-matrix check on every word, the fused
-    /// verified read returns exactly the per-bit data of clean words,
-    /// and padding garbage never changes a verdict.
+    /// The scheme's clean checks (re-encode, row-syndrome lane, or
+    /// masks past 64 check bits per row) equal the parity-matrix check
+    /// on every word, the fused verified read returns exactly the
+    /// per-bit data of clean words, and padding garbage never changes a
+    /// verdict. Sparse cases are all-zero rows plus the flips, so most
+    /// limbs are zero and skipped by the syndrome walk.
     #[test]
     fn clean_check_matches_parity_matrix(
-        cfg_idx in 0usize..42,
+        cfg_idx in 0usize..7 * GEOMETRIES.len(),
         seeds in vec(any::<u64>(), 4),
+        sparse in any::<bool>(),
         flips in vec(any::<usize>(), 0..=3),
         garbage in any::<u64>(),
         window in any::<u64>(),
@@ -121,6 +141,7 @@ proptest! {
         let config = configs()[cfg_idx];
         let scheme: Arc<BankScheme> = BankScheme::shared(config);
         let layout = scheme.layout();
+        let seeds = if sparse { vec![0; seeds.len()] } else { seeds };
         let row = noisy_row(&scheme, &seeds, &flips);
         let limbs = with_garbage(&row, garbage, 2);
         let width = 1 + (window as usize) % layout.data_bits().min(64);
@@ -132,9 +153,17 @@ proptest! {
             let expect = clean.then(|| reference_extract(&layout, &row, w, off, width));
             prop_assert_eq!(scheme.clean_data_u64(&limbs, w, off, width), expect);
         }
+        let dirty = (0..layout.interleave())
+            .fold(0u64, |acc, w| acc | u64::from(!reference_clean(&scheme, &row, w)) << w);
+        prop_assert_eq!(scheme.dirty_words(&limbs), dirty, "{:?}", config);
+        prop_assert_eq!(scheme.row_clean(&row), dirty == 0);
+        // The batched sweep over a block whose noisy row sits between
+        // two clean ones (each with its own padding garbage).
         let stride = scheme.cols().div_ceil(64);
-        let all_clean = (0..layout.interleave()).all(|w| reference_clean(&scheme, &row, w));
-        prop_assert_eq!(scheme.rows_clean_limbs(&limbs[..stride], stride, 1), all_clean);
+        let clean = with_garbage(&noisy_row(&scheme, &seeds, &[]), garbage.rotate_left(9), 0);
+        let block: Vec<u64> = [&clean[..], &limbs[..stride], &clean[..]].concat();
+        prop_assert_eq!(scheme.rows_clean_limbs(&block, stride, 3), dirty == 0);
+        prop_assert!(scheme.rows_clean_limbs(&block, stride, 1));
     }
 
     /// Every word that holds the wanted bits is a candidate; with a limb
@@ -166,6 +195,117 @@ proptest! {
             prop_assert_eq!(candidates >> w & 1 == 1, same, "il {} word {}", il, w);
         }
         prop_assert!(candidates >> target & 1 == 1, "the target word must be a candidate");
+    }
+}
+
+/// Banks the row audit is pinned on: the L2 preset (row syndrome over
+/// 256-bit words), the L1 preset (re-encoded 64-bit words), SECDED
+/// (inline correction) and QEC-PED at interleave 4 (per-equation masks:
+/// 4 x 29 check bits per row).
+fn audit_configs() -> [TwoDConfig; 4] {
+    let bank = |horizontal, data_bits, interleave| TwoDConfig {
+        rows: 64,
+        horizontal,
+        data_bits,
+        interleave,
+        vertical_rows: 16,
+    };
+    [
+        bank(CodeKind::Edc(16), 256, 2),
+        bank(CodeKind::Edc(8), 64, 4),
+        bank(CodeKind::Secded, 64, 2),
+        bank(CodeKind::Qecped, 64, 4),
+    ]
+}
+
+/// One bank filled with words drawn from `seed`, then damaged: a cluster,
+/// optionally stuck-at cells and a stripe collision (two flips in one
+/// column, `V` rows apart, which the vertical syndrome cannot see).
+fn damaged_bank(config: TwoDConfig, seed: u64, damage: &[usize; 8]) -> TwoDArray {
+    let mut bank = TwoDArray::new(config);
+    let mut state = seed | 1;
+    for r in 0..bank.rows() {
+        for w in 0..bank.words_per_row() {
+            let limbs: Vec<u64> = (0..config.data_bits.div_ceil(64))
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state
+                })
+                .collect();
+            bank.write_word(r, w, &Bits::from_limbs(&limbs, config.data_bits));
+        }
+    }
+    let (rows, cols) = (bank.rows(), bank.cols());
+    bank.inject(ErrorShape::Cluster {
+        row: damage[0] % rows,
+        col: damage[1] % cols,
+        height: 1 + damage[2] % 20,
+        width: 1 + damage[3] % 20,
+    });
+    if damage[4] % 2 == 1 {
+        let row = damage[5] % rows;
+        bank.inject_hard(
+            ErrorShape::Cluster {
+                row,
+                col: damage[6] % cols,
+                height: 1,
+                width: 1 + damage[4] % 3,
+            },
+            damage[5] % 2 == 1,
+        );
+    }
+    if damage[7].is_multiple_of(3) {
+        let v = config.vertical_rows;
+        let row = damage[6] % (rows - v);
+        let col = damage[7] % cols;
+        bank.inject(ErrorShape::Single { row, col });
+        bank.inject(ErrorShape::Single { row: row + v, col });
+    }
+    bank
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The row audit equals per-word timed reads on a twin bank: the same
+    /// kinds, data, cycles and errors word by word, and the same stats,
+    /// grid, parity and stuck-at overlay afterwards.
+    #[test]
+    fn row_audit_matches_per_word_reads(
+        cfg_idx in 0usize..4,
+        seed in any::<u64>(),
+        damage in any::<[usize; 8]>(),
+    ) {
+        let config = audit_configs()[cfg_idx];
+        let mut audited = damaged_bank(config, seed, &damage);
+        let mut twin = damaged_bank(config, seed, &damage);
+        let layout = audited.layout();
+        prop_assert_eq!(layout.interleave() * layout.check_bits() > 64, cfg_idx == 3);
+        let words = audited.words_per_row();
+        let mut data = vec![Bits::zeros(config.data_bits); words];
+        let mut reads: Vec<Result<(ReadKind, u64), EngineError>> =
+            vec![Ok((ReadKind::Clean, 0)); words];
+        for row in 0..audited.rows() {
+            audited.read_row_timed(row, &mut data, &mut reads);
+            for w in 0..words {
+                match twin.read_word_timed(row, w) {
+                    Ok((outcome, cycles)) => {
+                        prop_assert_eq!(&reads[w], &Ok((outcome.kind(), cycles)), "{:?} row {} word {}", config, row, w);
+                        prop_assert_eq!(&data[w], outcome.data(), "{:?} row {} word {}", config, row, w);
+                    }
+                    Err(e) => prop_assert_eq!(&reads[w], &Err(e), "{:?} row {} word {}", config, row, w),
+                }
+            }
+        }
+        prop_assert_eq!(audited.stats(), twin.stats());
+        prop_assert!(audited.grid() == twin.grid(), "{:?}: grids differ", config);
+        prop_assert_eq!(audited.vertical(), twin.vertical());
+        prop_assert_eq!(
+            audited.fault_map().iter().collect::<Vec<_>>(),
+            twin.fault_map().iter().collect::<Vec<_>>()
+        );
     }
 }
 

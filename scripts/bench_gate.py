@@ -8,8 +8,7 @@ Usage:
         --baseline BENCH_engine.json --fresh target/bench-gate/BENCH_engine.json \
         --baseline BENCH_cache.json --fresh target/bench-gate/BENCH_cache.json \
         --baseline BENCH_service.json --fresh target/bench-gate/BENCH_service.json \
-        --baseline BENCH_scrub.json --fresh target/bench-gate/BENCH_scrub.json \
-        --baseline BENCH_sim.json --fresh target/bench-gate/BENCH_sim.json
+        --baseline BENCH_scrub.json --fresh target/bench-gate/BENCH_scrub.json
 
 Each --baseline is paired positionally with the matching --fresh file.
 
@@ -37,14 +36,14 @@ a row whose timing is runner noise still hard-fails on any fresh
 allocation against a 0-allocs baseline.
 
 BENCH_scrub.json rows cover the self-healing service: incremental-scrub
-micro paths (`slice_clean`, `full_pass_clean`, `repair_cluster_16x16`)
-and the campaign's clean-scan throughput (`row_scan`, measured
-lock-held so foreground contention cannot inflate it) are gated like
-every other row. `slice_clean` and `full_pass_clean` are additionally
-pinned at 0 allocs/op by the committed baselines: the clean scrub lanes
-are batched limb sweeps over engine-owned scratch buffers, and any
-fresh allocation there is a regression of that contract (same hard pin
-as the codec clean paths). The remaining campaign figures
+micro paths (`slice_clean`, `full_pass_clean`, `full_pass_clean_l2`,
+`repair_cluster_16x16`) and the campaign's clean-scan throughput
+(`row_scan`, measured lock-held so foreground contention cannot inflate
+it) are gated like every other row. `slice_clean`, `full_pass_clean`
+and `full_pass_clean_l2` are additionally pinned at 0 allocs/op by the
+committed baselines: the clean scrub lanes are batched limb sweeps over
+engine-owned scratch buffers, and any fresh allocation there is a
+regression of that contract (same hard pin as the codec clean paths). The remaining campaign figures
 (`campaign_mttr` mean time-to-repair, `campaign_p99` foreground
 interference) measure scheduler behaviour — sleep cadences, thread
 oversubscription, poll timing — on whatever runner CI happens to get,
@@ -73,20 +72,6 @@ on a single-CPU runner the hot-bank zipf rows cannot show the
 contention win at all (threads never truly contend) — so they are
 reported informationally (and summarized as scaling factors) but never
 failed on.
-
-BENCH_sim.json rows come from the detailed-simulator fault campaign
-(`sim` binary, `--quick`). The `sim.*` family (cycles/ref, MSHR
-occupancy mean/peak, correction-stall fraction) are load-dependent
-timing proxies whose absolute values shift with any intended change to
-the simulator model, so they are informational like the multi-threaded
-service rows — but required to be present, which pins the emission contract. The
-`sim_rates.*` family (NE/CE/DUE/SDC counts per scheme) is the opposite
-extreme: the campaign is seeded and RNG-free on the classification
-side, so these counts are *exactly* reproducible — any drift from the
-committed baseline means the protection semantics changed (e.g. an SDC
-appeared under 2D coding), which must fail the gate outright rather
-than hide inside a 5x tolerance. `sim_rates.*` rows are therefore
-pinned exactly: fresh != baseline fails regardless of tolerance.
 
 Tolerance
 ---------
@@ -222,22 +207,6 @@ def main():
                 else:
                     print(f"  [info] {name}: {fresh_allocs:.3f} allocs/op "
                           f"(baseline {base_allocs:.3f})")
-            # Exact pin for the deterministic classification counts:
-            # the seeded campaign must reproduce NE/CE/DUE/SDC to the
-            # digit, so any difference is a semantic regression (see
-            # module docstring), checked before the runner-dependent
-            # skip so it can never be waved through.
-            if key[0] == "sim_rates":
-                if fresh_ns != base_ns:
-                    print(f"  [FAIL] {name}: classification drift — "
-                          f"baseline {base_ns:.0f}, fresh {fresh_ns:.0f} "
-                          f"(exact pin)")
-                    regressions.append(
-                        (f"{name} (exact pin)", base_ns, fresh_ns,
-                         float("inf")))
-                else:
-                    print(f"  [  ok] {name}: {fresh_ns:.0f} (exact pin)")
-                continue
             runner_dependent = (
                 # Multi-threaded rows vary with the runner's core count,
                 # not with the code under test (see module docstring).
@@ -251,11 +220,6 @@ def main():
                 # higher is better, so the ratio gate points the wrong
                 # way; presence is still enforced above.
                 or key == ("scrub", "scrub_throughput_gbps")
-                # Simulator timing proxies move with any intended model
-                # change (see module docstring); presence is still
-                # enforced above, and the sim_rates.* counts are pinned
-                # exactly before this skip.
-                or key[0] == "sim"
             )
             if runner_dependent:
                 print(f"  [info] {name}: baseline {base_ns:.1f} ns, "
