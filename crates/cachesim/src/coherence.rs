@@ -116,7 +116,7 @@ impl Hasher for LineHasher {
 /// Capacity-unbounded by design: the protocol invariants are what is
 /// modelled here; capacity pressure is the job of the functional caches
 /// in [`crate::trace`].
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Directory {
     /// line -> packed per-core states; all-Invalid lines are absent.
     lines: HashMap<u64, u64, BuildHasherDefault<LineHasher>>,

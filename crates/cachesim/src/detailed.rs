@@ -108,7 +108,10 @@ impl DetailedStats {
 }
 
 /// Execution-driven model of one CMP running one workload.
-#[derive(Debug)]
+///
+/// A clone continues exactly as the original would: a warmed simulator
+/// is a checkpoint both schemes of a campaign start from.
+#[derive(Clone, Debug)]
 pub struct DetailedSim {
     config: SystemConfig,
     policy: ProtectionPolicy,
@@ -218,13 +221,14 @@ impl DetailedSim {
     /// the measured ratios (the paper measures from warmed checkpoints).
     fn warm_up(&mut self) {
         for core in 0..self.config.cores {
-            let warm = self.streams[core].generate(6_000, self.rngs[core].gen());
-            for r in &warm {
-                self.caches[core].access(r.addr, r.is_write);
+            let seed = self.rngs[core].gen();
+            let cache = &mut self.caches[core];
+            for r in self.streams[core].draws(seed).take(6_000) {
+                cache.access(r.addr, r.is_write);
             }
-            self.caches[core].hits = 0;
-            self.caches[core].misses = 0;
-            self.caches[core].writebacks = 0;
+            cache.hits = 0;
+            cache.misses = 0;
+            cache.writebacks = 0;
         }
     }
 

@@ -221,7 +221,7 @@ pub struct StoreStats {
 /// line address and a write epoch, so a fault-free run is bit-identical
 /// to an unprotected run of the same simulator (the equivalence the
 /// test suite pins).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct ProtectedStore {
     kind: StoreScheme,
     scheme: Arc<BankScheme>,
@@ -242,10 +242,10 @@ pub struct ProtectedStore {
 
 impl ProtectedStore {
     /// Builds a store with [`STORE_BANKS`] banks of [`STORE_ROWS`] rows
-    /// sharing one [`BankScheme`].
+    /// sharing one [`BankScheme`] from the process-wide registry (live
+    /// stores of one kind share one table set).
     pub fn new(kind: StoreScheme) -> Self {
-        let config = kind.preset().bank_config(STORE_ROWS);
-        let scheme = Arc::new(BankScheme::new(config));
+        let scheme = BankScheme::shared(kind.preset().bank_config(STORE_ROWS));
         let banks: Vec<TwoDArray> = (0..STORE_BANKS)
             .map(|_| TwoDArray::from_scheme(Arc::clone(&scheme)))
             .collect();
@@ -749,72 +749,89 @@ fn tally_json(t: &OutcomeTally) -> String {
     )
 }
 
+/// Runs `cfg.rounds` rounds of the deck through `sim`'s store.
+fn run_scheme(cfg: &SimCampaignConfig, mut sim: DetailedSim) -> SchemeReport {
+    let kind = sim.store().expect("store attached").kind();
+    let mut totals = OutcomeTally::default();
+    let mut per_scenario: Vec<(&'static str, OutcomeTally)> = DECK
+        .iter()
+        .map(|sc| (sc.name, OutcomeTally::default()))
+        .collect();
+    let mut per_domain: Vec<(&'static str, OutcomeTally)> = vec![
+        ("row", OutcomeTally::default()),
+        ("stripe", OutcomeTally::default()),
+        ("bank", OutcomeTally::default()),
+    ];
+    let mut broken = 0u64;
+    for round in 0..cfg.rounds {
+        for (idx, scenario) in DECK.iter().enumerate() {
+            sim.run_window(cfg.window);
+            let store = sim.store_mut().expect("store attached");
+            store.begin_event();
+            let bank = (round * DECK.len() + idx) % STORE_BANKS;
+            let flips = inject_scenario(store, idx, bank, round);
+            sim.run_window(cfg.window);
+            let store = sim.store_mut().expect("store attached");
+            store.resolve_bank(bank);
+            let ev = store.take_evidence();
+            let outcome = classify(kind, flips, &ev);
+            totals.record(outcome);
+            per_scenario[idx].1.record(outcome);
+            let d = match scenario.domain {
+                FaultDomain::Row => 0,
+                FaultDomain::Stripe => 1,
+                FaultDomain::Bank => 2,
+            };
+            per_domain[d].1.record(outcome);
+            if kind == StoreScheme::TwoD
+                && scenario.expect_ce_2d
+                && outcome != Some(FaultOutcome::Ce)
+            {
+                broken += 1;
+            }
+            store.rebuild_bank(bank);
+        }
+    }
+    SchemeReport {
+        scheme: kind,
+        overhead: kind.accounted_overhead(),
+        totals,
+        per_scenario,
+        per_domain,
+        broken_expectations: broken,
+        sim: sim.stats(),
+        store: sim.store().expect("store attached").stats(),
+    }
+}
+
 /// Runs the full two-scheme fault campaign: trace-driven multi-core
 /// execution with the protected store under the L2, deterministic
 /// seeded injection of the scenario deck, NE/CE/DUE/SDC classification
 /// per fault domain, and a reliability roll-up.
+///
+/// Both schemes start from one warmed checkpoint: warm-up draws only
+/// from the simulator's own streams and never touches a store, so one
+/// store-less simulator is warmed, cloned for the 2D scheme, and moved
+/// into the SECDED scheme.
 pub fn run_sim_campaign(cfg: SimCampaignConfig) -> SimCampaignOutcome {
-    let mut schemes = Vec::new();
-    for kind in [StoreScheme::TwoD, StoreScheme::SecdedPerLine] {
-        let mut sim = DetailedSim::new(
-            SystemConfig::fat_cmp(),
-            ProtectionPolicy::full(),
-            WorkloadProfile::oltp(),
-            cfg.seed,
-        )
-        .with_store(ProtectedStore::new(kind));
-        let mut totals = OutcomeTally::default();
-        let mut per_scenario: Vec<(&'static str, OutcomeTally)> = DECK
-            .iter()
-            .map(|sc| (sc.name, OutcomeTally::default()))
-            .collect();
-        let mut per_domain: Vec<(&'static str, OutcomeTally)> = vec![
-            ("row", OutcomeTally::default()),
-            ("stripe", OutcomeTally::default()),
-            ("bank", OutcomeTally::default()),
-        ];
-        let mut broken = 0u64;
-        for round in 0..cfg.rounds {
-            for (idx, scenario) in DECK.iter().enumerate() {
-                sim.run_window(cfg.window);
-                let store = sim.store_mut().expect("store attached");
-                store.begin_event();
-                let bank = (round * DECK.len() + idx) % STORE_BANKS;
-                let flips = inject_scenario(store, idx, bank, round);
-                sim.run_window(cfg.window);
-                let store = sim.store_mut().expect("store attached");
-                store.resolve_bank(bank);
-                let ev = store.take_evidence();
-                let outcome = classify(kind, flips, &ev);
-                totals.record(outcome);
-                per_scenario[idx].1.record(outcome);
-                let d = match scenario.domain {
-                    FaultDomain::Row => 0,
-                    FaultDomain::Stripe => 1,
-                    FaultDomain::Bank => 2,
-                };
-                per_domain[d].1.record(outcome);
-                if kind == StoreScheme::TwoD
-                    && scenario.expect_ce_2d
-                    && outcome != Some(FaultOutcome::Ce)
-                {
-                    broken += 1;
-                }
-                sim.store_mut().expect("store attached").rebuild_bank(bank);
-            }
-        }
-        let store_stats = sim.store().expect("store attached").stats();
-        schemes.push(SchemeReport {
-            scheme: kind,
-            overhead: kind.accounted_overhead(),
-            totals,
-            per_scenario,
-            per_domain,
-            broken_expectations: broken,
-            sim: sim.stats(),
-            store: store_stats,
-        });
-    }
+    let mut warmed = DetailedSim::new(
+        SystemConfig::fat_cmp(),
+        ProtectionPolicy::full(),
+        WorkloadProfile::oltp(),
+        cfg.seed,
+    );
+    warmed.run_window(0);
+    let twod = run_scheme(
+        &cfg,
+        warmed
+            .clone()
+            .with_store(ProtectedStore::new(StoreScheme::TwoD)),
+    );
+    let secded = run_scheme(
+        &cfg,
+        warmed.with_store(ProtectedStore::new(StoreScheme::SecdedPerLine)),
+    );
+    let schemes = vec![twod, secded];
 
     // Reliability roll-up: project the measured DUE fractions onto a
     // field population and fold retirements into the yield model.
@@ -860,6 +877,19 @@ mod tests {
             EventEvidence::default(),
             "clean traffic leaves no evidence"
         );
+    }
+
+    #[test]
+    fn live_stores_of_one_kind_share_one_scheme() {
+        let a = ProtectedStore::new(StoreScheme::TwoD);
+        let b = ProtectedStore::new(StoreScheme::TwoD);
+        let c = ProtectedStore::new(StoreScheme::SecdedPerLine);
+        assert!(Arc::ptr_eq(&a.scheme, &b.scheme), "one table set per kind");
+        assert!(!Arc::ptr_eq(&a.scheme, &c.scheme), "kinds differ");
+        assert!(a
+            .banks
+            .iter()
+            .all(|bank| Arc::ptr_eq(bank.scheme(), &a.scheme)));
     }
 
     #[test]

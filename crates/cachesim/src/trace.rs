@@ -64,11 +64,15 @@ impl StreamModel {
 
     /// Generates `n` references.
     pub fn generate(&self, n: usize, seed: u64) -> Vec<TraceRecord> {
+        self.draws(seed).take(n).collect()
+    }
+
+    /// The references of `generate(n, seed)`, drawn in place one at a
+    /// time instead of collected (the detailed simulator's warm-up).
+    pub(crate) fn draws(&self, seed: u64) -> impl Iterator<Item = TraceRecord> + '_ {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut stream_ptr = STREAM_BASE;
-        (0..n)
-            .map(|_| self.draw(&mut rng, &mut stream_ptr))
-            .collect()
+        std::iter::repeat_with(move || self.draw(&mut rng, &mut stream_ptr))
     }
 
     /// The one reference `generate(1, seed)` would return, without the
@@ -81,8 +85,7 @@ impl StreamModel {
     /// reference, so there `p_stream` acts as a second hot line rather
     /// than a stream.
     pub fn record(&self, seed: u64) -> TraceRecord {
-        let mut stream_ptr = STREAM_BASE;
-        self.draw(&mut StdRng::seed_from_u64(seed), &mut stream_ptr)
+        self.draws(seed).next().expect("draws never end")
     }
 
     /// Draws the next reference of a stream whose sequential component
@@ -499,6 +502,18 @@ mod tests {
                 prop_assert_eq!(flat.writebacks, naive.writebacks);
                 prop_assert_eq!(flat.hits + flat.misses, refs.len() as u64);
             }
+        }
+    }
+
+    #[test]
+    fn in_place_draws_are_the_generated_trace() {
+        // The detailed simulator's warm-up consumes `draws` in place;
+        // it must see exactly the trace `generate` collects.
+        for (i, profile) in WorkloadProfile::paper_set().iter().enumerate() {
+            let model = StreamModel::for_profile(profile);
+            let seed = 0x5EED + i as u64;
+            let drawn: Vec<TraceRecord> = model.draws(seed).take(6_000).collect();
+            assert_eq!(drawn, model.generate(6_000, seed));
         }
     }
 

@@ -132,3 +132,62 @@ fn injected_fault_shows_up_as_correction_stall() {
         "correction work must back-pressure the banks"
     );
 }
+
+#[test]
+fn clone_continues_like_the_original() {
+    // The campaign runs both schemes from clones of one warmed
+    // simulator, so a clone must end every later window exactly where
+    // the original does — coherence trace, MSHRs, ports and store
+    // included. A field left out of `Clone` fails here, not in a golden.
+    let new_sim = || {
+        DetailedSim::new(
+            SystemConfig::fat_cmp(),
+            ProtectionPolicy::full(),
+            WorkloadProfile::oltp(),
+            16,
+        )
+    };
+
+    // Store-less, cloned mid-run.
+    let mut original = new_sim();
+    original.run_window(CYCLES / 2);
+    let mut clone = original.clone();
+    original.run_window(CYCLES / 2);
+    clone.run_window(CYCLES / 2);
+    assert_eq!(original.stats(), clone.stats(), "store-less clone");
+    assert_ne!(original.stats().coherence_sig, 0);
+
+    // Store attached and damaged before the clone: the clone carries the
+    // damage and pays the same correction stalls.
+    let mut original = new_sim().with_store(ProtectedStore::new(StoreScheme::TwoD));
+    original.run_window(CYCLES / 2);
+    for row in (0..cachesim::protected::STORE_ROWS).step_by(5) {
+        let store = original.store_mut().expect("store attached");
+        store.inject(
+            row % cachesim::protected::STORE_BANKS,
+            memarray::ErrorShape::Row { row },
+        );
+    }
+    let mut clone = original.clone();
+    original.run_window(CYCLES / 2);
+    clone.run_window(CYCLES / 2);
+    assert_eq!(original.stats(), clone.stats(), "clone with a store");
+    assert!(original.stats().correction_stall_cycles > 0);
+    assert_eq!(
+        original.store().map(ProtectedStore::stats),
+        clone.store().map(ProtectedStore::stats),
+        "store counters"
+    );
+
+    // The campaign's checkpoint: a store attached to a clone of a warmed
+    // store-less simulator runs like one attached at construction.
+    let mut warmed = new_sim();
+    warmed.run_window(0);
+    let mut late = warmed
+        .clone()
+        .with_store(ProtectedStore::new(StoreScheme::SecdedPerLine));
+    let mut early = new_sim().with_store(ProtectedStore::new(StoreScheme::SecdedPerLine));
+    late.run_window(CYCLES);
+    early.run_window(CYCLES);
+    assert_eq!(late.stats(), early.stats(), "store attached after warm-up");
+}

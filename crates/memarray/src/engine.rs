@@ -169,6 +169,7 @@ pub struct RecoveryReport {
 /// let out = bank.read_word(10, 2).unwrap();
 /// assert_eq!(out.into_data(), word);
 /// ```
+#[derive(Clone)]
 pub struct TwoDArray {
     /// The immutable shared half: codec (with its precomputed tables),
     /// layout, clean-check tables, and geometry. One [`BankScheme`]
@@ -362,6 +363,12 @@ impl TwoDArray {
     fn read_row_raw_into(&self, row: usize, out: &mut Bits) {
         self.grid.row_into(row, out);
         self.faults.overlay_row(row, out);
+    }
+
+    /// [`TwoDArray::read_row_raw_into`] into a raw limb row.
+    fn read_row_raw_limbs(&self, row: usize, out: &mut [u64]) {
+        out.copy_from_slice(self.grid.row_range_limbs(row, 1));
+        self.faults.overlay_limbs(row, self.cols(), out);
     }
 
     /// Writes a physical row; stuck cells silently retain their value
@@ -1013,13 +1020,16 @@ impl TwoDArray {
             for stripe in 0..v {
                 if flagged[stripe].len() == 1 {
                     let r = flagged[stripe][0];
-                    if cache.stripe_syn[stripe].is_zero() {
+                    if !ecc::kernels::any_nonzero(cache.syndrome(stripe)) {
                         continue;
                     }
-                    cache.scratch.copy_from(&cache.rows[r]);
-                    cache.scratch.xor_assign(&cache.stripe_syn[stripe]);
+                    cache.stage_with_syndrome(r, stripe);
                     if self.scheme.row_clean(&cache.scratch) {
-                        let flips = cache.stripe_syn[stripe].count_ones();
+                        let flips: usize = cache
+                            .syndrome(stripe)
+                            .iter()
+                            .map(|l| l.count_ones() as usize)
+                            .sum();
                         self.commit_row_repair(r, &mut cache, &mut report);
                         report.rows_repaired.push(r);
                         report.bits_flipped += flips;
@@ -1053,13 +1063,10 @@ impl TwoDArray {
             // rebuilt from the (clean) data. The fresh parity is the
             // stored one XOR the syndrome — no rescan needed.
             for stripe in 0..v {
-                if flagged[stripe].is_empty() && !cache.stripe_syn[stripe].is_zero() {
-                    let fresh = self
-                        .vparity
-                        .parity_row(stripe)
-                        .xor(&cache.stripe_syn[stripe]);
-                    self.vparity.set_parity_row(stripe, fresh);
-                    cache.stripe_syn[stripe].clear();
+                if flagged[stripe].is_empty() && ecc::kernels::any_nonzero(cache.syndrome(stripe)) {
+                    cache.stage_syndrome(stripe);
+                    self.vparity.xor_stripe(stripe, &cache.scratch);
+                    cache.syndrome_mut(stripe).fill(0);
                     report.parity_rows_rebuilt.push(stripe);
                     progressed = true;
                 }
@@ -1072,8 +1079,11 @@ impl TwoDArray {
         // Only rows whose clean flag is still down can be uncorrectable.
         let mut failing = Vec::new();
         for r in 0..self.rows() {
-            if !cache.clean[r] && self.row_has_uncorrectable(&cache.rows[r]) {
-                failing.push(r);
+            if !cache.clean[r] {
+                cache.stage(r);
+                if self.row_has_uncorrectable(&cache.scratch) {
+                    failing.push(r);
+                }
             }
         }
         self.recovery = cache;
@@ -1279,11 +1289,11 @@ impl TwoDArray {
         report: &mut RecoveryReport,
     ) {
         self.apply_row_repair(r, report, &cache.scratch);
-        let stripe = r % self.vparity.interleave();
-        cache.stripe_syn[stripe].xor_assign(&cache.rows[r]);
-        self.read_row_raw_into(r, &mut cache.rows[r]);
-        cache.stripe_syn[stripe].xor_assign(&cache.rows[r]);
-        cache.clean[r] = self.scheme.row_clean(&cache.rows[r]);
+        let (row, syndrome) = cache.row_and_syndrome_mut(r, r % self.vparity.interleave());
+        ecc::kernels::xor_accumulate(syndrome, row);
+        self.read_row_raw_limbs(r, row);
+        ecc::kernels::xor_accumulate(syndrome, row);
+        cache.clean[r] = self.scheme.dirty_words(row) == 0;
     }
 
     /// Attempts SECDED-style inline repair of every dirty word of row `r`.
@@ -1297,7 +1307,7 @@ impl TwoDArray {
         cache: &mut RecoveryCache,
         report: &mut RecoveryReport,
     ) -> bool {
-        cache.scratch.copy_from(&cache.rows[r]);
+        cache.stage(r);
         let mut fixed_any = false;
         // A word fix rewrites only that word's columns, so one row check
         // up front names every word to try.
@@ -1319,8 +1329,7 @@ impl TwoDArray {
             }
         }
         if fixed_any && self.scheme.row_clean(&cache.scratch) {
-            let flips =
-                ecc::kernels::xor_popcount(cache.rows[r].as_limbs(), cache.scratch.as_limbs());
+            let flips = ecc::kernels::xor_popcount(cache.row(r), cache.scratch.as_limbs());
             self.commit_row_repair(r, cache, report);
             report.bits_flipped += flips;
             report.rows_repaired.push(r);
@@ -1342,7 +1351,7 @@ impl TwoDArray {
         report: &mut RecoveryReport,
     ) -> bool {
         // Try flipping all suspect columns in this row; verify each word.
-        cache.scratch.copy_from(&cache.rows[r]);
+        cache.stage(r);
         cache.scratch.xor_assign(suspect);
         if self.scheme.row_clean(&cache.scratch) {
             report.bits_flipped += suspect.count_ones();
@@ -1356,7 +1365,7 @@ impl TwoDArray {
         // of words whose check currently fails. Trial flips are applied
         // to the staged row and reverted in place when the word still
         // fails its check.
-        cache.scratch.copy_from(&cache.rows[r]);
+        cache.stage(r);
         let mut flipped_cols: Vec<usize> = Vec::new();
         // Trial flips stay inside one word's columns, so the other
         // words' verdicts from this one row check still hold.
@@ -1414,16 +1423,22 @@ impl TwoDArray {
 /// outcomes, and per-stripe vertical syndromes, plus the reusable repair
 /// staging buffers (candidate row, decoded word, decode scratch).
 ///
-/// The cache is owned by the engine and rebuilt in place at the start of
-/// each recovery ([`RecoveryCache::rebuild`]): after the first recovery
-/// of a bank's lifetime, subsequent ones reuse every buffer and the
-/// snapshot phase allocates nothing. Patched in place by
+/// The row snapshot and the stripe syndromes share one flat limb buffer
+/// (`rows` data rows, then `V` syndromes, [`BitGrid::limbs_per_row`]
+/// limbs each), so sizing the cache is one allocation whatever the row
+/// count. The cache is owned by the engine and rebuilt in place at the
+/// start of each recovery ([`RecoveryCache::rebuild`]): after the first
+/// recovery of a bank's lifetime, subsequent ones reuse every buffer and
+/// the snapshot phase allocates nothing. Patched in place by
 /// [`TwoDArray::commit_row_repair`].
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct RecoveryCache {
-    rows: Vec<Bits>,
+    /// Row snapshot, then stripe syndromes, `limbs_per_row` limbs each.
+    limbs: Vec<u64>,
+    limbs_per_row: usize,
+    /// Data rows in the snapshot (the syndromes start after them).
+    rows: usize,
     clean: Vec<bool>,
-    stripe_syn: Vec<Bits>,
     /// Repair staging row: candidate content a fix pass builds before
     /// verification and commit.
     scratch: Bits,
@@ -1440,33 +1455,92 @@ impl RecoveryCache {
     /// sizes everything).
     fn rebuild(&mut self, bank: &TwoDArray) {
         let rows = bank.rows();
-        let cols = bank.cols();
+        let lpr = bank.grid.limbs_per_row();
         let v = bank.vparity.interleave();
-        if self.rows.len() != rows || self.rows.first().is_some_and(|b| b.len() != cols) {
-            self.rows = (0..rows).map(|_| Bits::zeros(cols)).collect();
-            self.stripe_syn = (0..v).map(|_| Bits::zeros(cols)).collect();
-            self.scratch = Bits::zeros(cols);
+        self.rows = rows;
+        self.limbs_per_row = lpr;
+        if self.limbs.len() != (rows + v) * lpr || self.scratch.len() != bank.cols() {
+            self.limbs = vec![0; (rows + v) * lpr];
+            self.scratch = Bits::zeros(bank.cols());
             self.word_out = Bits::zeros(bank.layout().data_bits());
         }
         self.clean.clear();
         self.clean.resize(rows, false);
-        for s in 0..v {
-            self.stripe_syn[s].copy_from(bank.vparity.parity_row(s));
+        let (snapshot, syndromes) = self.limbs.split_at_mut(rows * lpr);
+        snapshot.copy_from_slice(bank.grid.row_range_limbs(0, rows));
+        for (s, syndrome) in syndromes.chunks_exact_mut(lpr).enumerate() {
+            syndrome.copy_from_slice(bank.vparity.parity_row(s).as_limbs());
         }
-        for r in 0..rows {
-            let row = &mut self.rows[r];
-            bank.read_row_raw_into(r, row);
-            self.stripe_syn[r % v].xor_assign(row);
-            self.clean[r] = bank.scheme.row_clean(row);
+        for (r, row) in snapshot.chunks_exact_mut(lpr).enumerate() {
+            bank.faults.overlay_limbs(r, bank.cols(), row);
+            ecc::kernels::xor_accumulate(&mut syndromes[(r % v) * lpr..(r % v + 1) * lpr], row);
+            self.clean[r] = bank.scheme.dirty_words(row) == 0;
+        }
+    }
+
+    /// Row `r` of the snapshot.
+    fn row(&self, r: usize) -> &[u64] {
+        &self.limbs[r * self.limbs_per_row..(r + 1) * self.limbs_per_row]
+    }
+
+    /// The vertical syndrome of `stripe`.
+    fn syndrome(&self, stripe: usize) -> &[u64] {
+        self.row(self.rows + stripe)
+    }
+
+    /// The vertical syndrome of `stripe`, mutable.
+    fn syndrome_mut(&mut self, stripe: usize) -> &mut [u64] {
+        let lpr = self.limbs_per_row;
+        let at = (self.rows + stripe) * lpr;
+        &mut self.limbs[at..at + lpr]
+    }
+
+    /// Row `r` of the snapshot and the syndrome of `stripe`, both mutable.
+    fn row_and_syndrome_mut(&mut self, r: usize, stripe: usize) -> (&mut [u64], &mut [u64]) {
+        let lpr = self.limbs_per_row;
+        let (snapshot, syndromes) = self.limbs.split_at_mut(self.rows * lpr);
+        (
+            &mut snapshot[r * lpr..(r + 1) * lpr],
+            &mut syndromes[stripe * lpr..(stripe + 1) * lpr],
+        )
+    }
+
+    /// Stages row `r` of the flat buffer in `scratch`: a snapshot row,
+    /// or past the data rows a stripe syndrome.
+    fn stage(&mut self, r: usize) {
+        let lpr = self.limbs_per_row;
+        self.scratch
+            .copy_from_limbs(&self.limbs[r * lpr..(r + 1) * lpr]);
+    }
+
+    /// Stages the syndrome of `stripe` in `scratch`.
+    fn stage_syndrome(&mut self, stripe: usize) {
+        self.stage(self.rows + stripe);
+    }
+
+    /// Stages row `r` XOR the syndrome of `stripe` in `scratch`: the
+    /// row-mode repair candidate.
+    fn stage_with_syndrome(&mut self, r: usize, stripe: usize) {
+        let lpr = self.limbs_per_row;
+        let syndrome = (self.rows + stripe) * lpr;
+        for i in 0..lpr {
+            let limb = self.limbs[r * lpr + i] ^ self.limbs[syndrome + i];
+            self.scratch.set_limb(i, limb);
         }
     }
 
     /// Union of every stripe's flagged columns as a row-width mask
     /// (limb-level OR instead of per-bit set insertion).
     fn suspect_columns(&self) -> Bits {
-        let mut union = Bits::zeros(self.stripe_syn[0].len());
-        for syn in &self.stripe_syn {
-            union.or_assign(syn);
+        let lpr = self.limbs_per_row;
+        let syndromes = &self.limbs[self.rows * lpr..];
+        let mut union = Bits::zeros(self.scratch.len());
+        for i in 0..lpr {
+            let limb = syndromes[i..]
+                .iter()
+                .step_by(lpr)
+                .fold(0, |acc, &l| acc | l);
+            union.set_limb(i, limb);
         }
         union
     }

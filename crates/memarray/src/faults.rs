@@ -163,6 +163,20 @@ impl FaultMap {
             }
         }
     }
+
+    /// [`FaultMap::overlay_row`] over a raw limb row of `cols` bits.
+    pub(crate) fn overlay_limbs(&self, row_idx: usize, cols: usize, limbs: &mut [u64]) {
+        for (&(_, c), &v) in self.stuck.range((row_idx, 0)..=(row_idx, usize::MAX)) {
+            if c < cols {
+                let bit = 1u64 << (c % 64);
+                if v {
+                    limbs[c / 64] |= bit;
+                } else {
+                    limbs[c / 64] &= !bit;
+                }
+            }
+        }
+    }
 }
 
 /// Report of one injection: which cells actually changed observable state.
@@ -284,6 +298,29 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn limb_overlay_matches_bits_overlay() {
+        // 130 columns: three limbs, the last one partial.
+        let mut f = FaultMap::new();
+        for (r, c, v) in [
+            (0, 0, true),
+            (0, 63, false),
+            (0, 64, true),
+            (0, 129, true),
+            (1, 5, true),
+        ] {
+            f.add_stuck(r, c, v);
+        }
+        let base = ecc::Bits::from_limbs(&[0x00F0_0000_0000_00FF, !0, 0b10], 130);
+        for row in 0..3 {
+            let mut bits = base.clone();
+            f.overlay_row(row, &mut bits);
+            let mut limbs = base.as_limbs().to_vec();
+            f.overlay_limbs(row, 130, &mut limbs);
+            assert_eq!(limbs, bits.as_limbs(), "row {row}");
+        }
+    }
 
     #[test]
     fn single_flip() {
