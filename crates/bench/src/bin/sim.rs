@@ -92,8 +92,13 @@ fn main() {
     }
     let r = &outcome.reliability;
     println!(
-        "  reliability: DUE retirements 2d {:.2} vs secded {:.2}; yield 2d {:.4} vs secded {:.4}",
-        r.due_retirements_2d, r.due_retirements_secded, r.yield_2d, r.yield_secded,
+        "  reliability: DUE retirements 2d {:.2} (p95 {}) vs secded {:.2} (p95 {}); yield 2d {:.4} vs secded {:.4}",
+        r.due_retirements_2d,
+        r.due_retirements_p95_2d,
+        r.due_retirements_secded,
+        r.due_retirements_p95_secded,
+        r.yield_2d,
+        r.yield_secded,
     );
 
     std::fs::create_dir_all(&out_dir).expect("creating sim output directory");

@@ -34,10 +34,7 @@ use std::sync::Arc;
 
 use ecc::Bits;
 use memarray::{BankScheme, EngineError, ErrorShape, ReadKind, TwoDArray};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use reliability::montecarlo::{projected_retirements, MeasuredRates};
-use reliability::YieldModel;
+use reliability::{poisson, YieldModel};
 use twod_cache::TwoDScheme;
 
 use crate::{DetailedSim, ProtectionPolicy, SystemConfig, WorkloadProfile};
@@ -575,14 +572,12 @@ impl OutcomeTally {
         self.ne + self.ce + self.due + self.sdc + self.unaccounted
     }
 
-    /// Measured rates for reliability ingestion.
-    pub fn rates(&self) -> MeasuredRates {
-        MeasuredRates {
-            faults: self.total(),
-            ne: self.ne,
-            ce: self.ce,
-            due: self.due,
-            sdc: self.sdc,
+    /// Fraction of the tallied events that ended as DUE (0 when none
+    /// were tallied).
+    pub fn due_fraction(&self) -> f64 {
+        match self.total() {
+            0 => 0.0,
+            total => self.due as f64 / total as f64,
         }
     }
 }
@@ -608,13 +603,24 @@ pub struct SchemeReport {
     pub store: StoreStats,
 }
 
-/// Reliability projections fed from the measured rates.
+/// Fault events the reliability roll-up expects over its field horizon.
+const FIELD_EVENTS: f64 = 64.0;
+
+/// Reliability projections fed from the measured DUE fractions. Each of
+/// a Poisson count of field events (mean 64) retires a spare row with
+/// the scheme's measured DUE probability, so retirements are exactly
+/// Poisson with mean `64 * due_fraction`.
 #[derive(Clone, Copy, Debug)]
 pub struct ReliabilityProjection {
     /// Expected DUE block retirements over the projection horizon.
     pub due_retirements_2d: f64,
-    /// Same, for the SECDED comparator.
+    /// One-sided 95% upper bound on the 2D retirements: the smallest
+    /// count whose Poisson CDF reaches 0.95.
+    pub due_retirements_p95_2d: u64,
+    /// Expected retirements for the SECDED comparator.
     pub due_retirements_secded: f64,
+    /// The SECDED comparator's 95% upper bound.
+    pub due_retirements_p95_secded: u64,
     /// Projected yield with 2D after retiring that many spare rows.
     pub yield_2d: f64,
     /// Projected yield with SECDED after its retirements.
@@ -624,8 +630,8 @@ pub struct ReliabilityProjection {
 /// Campaign configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct SimCampaignConfig {
-    /// RNG seed (workload streams + reliability projection only; the
-    /// store and deck are RNG-free).
+    /// RNG seed of the workload streams, the campaign's only randomness:
+    /// the store, the deck and the reliability roll-up draw nothing.
     pub seed: u64,
     /// Rounds through the scenario deck per scheme.
     pub rounds: usize,
@@ -674,7 +680,7 @@ impl SimCampaignOutcome {
     /// (hand-written so equal seeds produce byte-identical bytes).
     pub fn to_json(&self) -> String {
         let mut s = String::new();
-        s.push_str("{\n  \"schema\": \"twod-repro/sim-campaign-v1\",\n");
+        s.push_str("{\n  \"schema\": \"twod-repro/sim-campaign-v2\",\n");
         let _ = writeln!(
             s,
             "  \"config\": {{ \"seed\": {}, \"rounds\": {}, \"window\": {} }},",
@@ -730,9 +736,11 @@ impl SimCampaignOutcome {
         s.push_str("  ],\n");
         let _ = writeln!(
             s,
-            "  \"reliability\": {{ \"due_retirements_2d\": {:.6}, \"due_retirements_secded\": {:.6}, \"yield_2d\": {:.6}, \"yield_secded\": {:.6} }},",
+            "  \"reliability\": {{ \"due_retirements_2d\": {:.6}, \"due_retirements_p95_2d\": {}, \"due_retirements_secded\": {:.6}, \"due_retirements_p95_secded\": {}, \"yield_2d\": {:.6}, \"yield_secded\": {:.6} }},",
             self.reliability.due_retirements_2d,
+            self.reliability.due_retirements_p95_2d,
             self.reliability.due_retirements_secded,
+            self.reliability.due_retirements_p95_secded,
             self.reliability.yield_2d,
             self.reliability.yield_secded
         );
@@ -807,7 +815,8 @@ fn run_scheme(cfg: &SimCampaignConfig, mut sim: DetailedSim) -> SchemeReport {
 /// Runs the full two-scheme fault campaign: trace-driven multi-core
 /// execution with the protected store under the L2, deterministic
 /// seeded injection of the scenario deck, NE/CE/DUE/SDC classification
-/// per fault domain, and a reliability roll-up.
+/// per fault domain, and a closed-form reliability roll-up
+/// ([`ReliabilityProjection`]).
 ///
 /// Both schemes start from one warmed checkpoint: warm-up draws only
 /// from the simulator's own streams and never touches a store, so one
@@ -831,24 +840,18 @@ pub fn run_sim_campaign(cfg: SimCampaignConfig) -> SimCampaignOutcome {
         &cfg,
         warmed.with_store(ProtectedStore::new(StoreScheme::SecdedPerLine)),
     );
-    let schemes = vec![twod, secded];
-
-    // Reliability roll-up: project the measured DUE fractions onto a
-    // field population and fold retirements into the yield model.
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5EED_51D3);
-    let expected_events = 64.0;
-    let trials = 2_000;
-    let rates_2d = schemes[0].totals.rates();
-    let rates_secded = schemes[1].totals.rates();
-    let due_2d = projected_retirements(&rates_2d, expected_events, trials, &mut rng);
-    let due_secded = projected_retirements(&rates_secded, expected_events, trials, &mut rng);
+    let due_2d = FIELD_EVENTS * twod.totals.due_fraction();
+    let due_secded = FIELD_EVENTS * secded.totals.due_fraction();
     let ym = YieldModel::l2_16mb();
     let reliability = ReliabilityProjection {
         due_retirements_2d: due_2d,
+        due_retirements_p95_2d: poisson::quantile(0.95, due_2d),
         due_retirements_secded: due_secded,
+        due_retirements_p95_secded: poisson::quantile(0.95, due_secded),
         yield_2d: ym.yield_after_retirement(40, 64, due_2d.ceil() as u64),
         yield_secded: ym.yield_after_retirement(40, 64, due_secded.ceil() as u64),
     };
+    let schemes = vec![twod, secded];
 
     SimCampaignOutcome {
         config: cfg,
@@ -979,6 +982,29 @@ mod tests {
         assert!(rebuilt.fault_map().is_empty());
         assert_eq!(rebuilt.stats(), fresh.stats());
         assert_eq!(rebuilt.scrub_cursor(), fresh.scrub_cursor());
+    }
+
+    #[test]
+    fn reliability_rollup_is_closed_form() {
+        let o = run_sim_campaign(SimCampaignConfig::quick(7));
+        let r = o.reliability;
+        let ym = YieldModel::l2_16mb();
+        let rows = [
+            (r.due_retirements_2d, r.due_retirements_p95_2d, r.yield_2d),
+            (
+                r.due_retirements_secded,
+                r.due_retirements_p95_secded,
+                r.yield_secded,
+            ),
+        ];
+        for (scheme, (mean, p95, yld)) in o.schemes.iter().zip(rows) {
+            let t = scheme.totals;
+            assert!(t.due > 0, "{:?} saw no DUE", scheme.scheme);
+            assert_eq!(mean, 64.0 * t.due as f64 / t.total() as f64);
+            assert_eq!(p95, poisson::quantile(0.95, mean));
+            assert!(p95 as f64 > mean);
+            assert_eq!(yld, ym.yield_after_retirement(40, 64, mean.ceil() as u64));
+        }
     }
 
     #[test]

@@ -63,7 +63,7 @@ proptest! {
             "unaccounted fault: {kind:?} {shape:?} flips={flips} evidence={ev:?}"
         );
         // Exactly-one-bucket: the tally total advances by one and the
-        // reliability view agrees it is fully accounted.
+        // reliability view's DUE fraction is that one event's.
         let mut tally = OutcomeTally::default();
         match outcome.unwrap() {
             FaultOutcome::Ne => tally.ne += 1,
@@ -72,7 +72,7 @@ proptest! {
             FaultOutcome::Sdc => tally.sdc += 1,
         }
         prop_assert_eq!(tally.total(), 1);
-        prop_assert!(tally.rates().accounted());
+        prop_assert_eq!(tally.due_fraction(), tally.due as f64);
         // A zero-flip injection must never charge the scheme an error.
         if flips == 0 && !ev.any() {
             prop_assert_eq!(outcome, Some(FaultOutcome::Ne));

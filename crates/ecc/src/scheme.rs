@@ -27,7 +27,9 @@ pub enum CodeKind {
 
 /// Process-wide registry of shared codec instances, keyed by
 /// `(CodeKind, data_bits)`. Entries are held weakly so codecs free their
-/// precomputed tables once every array using them is dropped.
+/// precomputed tables once every holder is dropped; the bank schemes of
+/// `memarray`'s shared registry live for the process, and keep their
+/// codecs alive with them.
 type CodecRegistry = Mutex<HashMap<(CodeKind, usize), Weak<dyn Code + Send + Sync>>>;
 
 fn codec_registry() -> &'static CodecRegistry {

@@ -16,7 +16,7 @@ use crate::{RowLayout, TwoDConfig};
 use ecc::{Bits, Code};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Cumulative count of [`BankScheme`] table-set constructions performed
 /// by [`BankScheme::shared`] (cache misses). Like
@@ -30,7 +30,7 @@ pub fn shared_scheme_builds() -> u64 {
     SHARED_SCHEME_BUILDS.load(Ordering::SeqCst)
 }
 
-type SchemeRegistry = Mutex<HashMap<TwoDConfig, Weak<BankScheme>>>;
+type SchemeRegistry = Mutex<HashMap<TwoDConfig, Arc<BankScheme>>>;
 
 fn scheme_registry() -> &'static SchemeRegistry {
     static REGISTRY: OnceLock<SchemeRegistry> = OnceLock::new();
@@ -282,20 +282,21 @@ impl BankScheme {
     /// Returns the process-wide shared scheme for `config`, building its
     /// table set only on first use. Identical configs — every bank of a
     /// banked cache, or the data arrays of sibling caches — receive
-    /// clones of one `Arc`.
+    /// clones of one `Arc`. The registry keeps its own `Arc`, so a
+    /// config's tables live for the rest of the process: a cache or
+    /// campaign built again after every earlier holder has dropped
+    /// reuses them instead of rebuilding.
     ///
     /// # Panics
     ///
     /// Panics if any dimension is zero or `vertical_rows > rows`.
     pub fn shared(config: TwoDConfig) -> Arc<BankScheme> {
         let mut registry = scheme_registry().lock().expect("scheme registry poisoned");
-        if let Some(existing) = registry.get(&config).and_then(Weak::upgrade) {
-            return existing;
-        }
-        let fresh = Arc::new(BankScheme::new(config));
-        SHARED_SCHEME_BUILDS.fetch_add(1, Ordering::SeqCst);
-        registry.insert(config, Arc::downgrade(&fresh));
-        fresh
+        let scheme = registry.entry(config).or_insert_with(|| {
+            SHARED_SCHEME_BUILDS.fetch_add(1, Ordering::SeqCst);
+            Arc::new(BankScheme::new(config))
+        });
+        Arc::clone(scheme)
     }
 
     /// The configuration this scheme was built from.
@@ -656,6 +657,26 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &c));
         // ...but still shares the codec tables underneath.
         assert!(Arc::ptr_eq(a.codec(), c.codec()));
+    }
+
+    #[test]
+    fn shared_outlives_its_holders() {
+        // A config no other test builds, so only this test's calls can
+        // build it.
+        let cfg = TwoDConfig {
+            rows: 72,
+            horizontal: CodeKind::Edc(4),
+            data_bits: 16,
+            interleave: 2,
+            vertical_rows: 8,
+        };
+        let first = BankScheme::shared(cfg);
+        let tables = Arc::as_ptr(&first);
+        drop(first);
+        let before = shared_scheme_builds();
+        let again = BankScheme::shared(cfg);
+        assert_eq!(shared_scheme_builds(), before, "no rebuild after the drop");
+        assert!(std::ptr::eq(Arc::as_ptr(&again), tables), "same tables");
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   error events observed by a running service;
 //! * [`montecarlo`] — fault-injection cross-validation against the
 //!   actual 2D engine in the `memarray` crate;
-//! * [`poisson`] — the numerically stable Poisson tail sums the models
-//!   are built on.
+//! * [`poisson`] — the numerically stable Poisson tail sums and
+//!   quantiles the models, and the detailed simulator's closed-form
+//!   retirement projection, are built on.
 //!
 //! ## Example: why ECC alone should not absorb hard errors
 //!

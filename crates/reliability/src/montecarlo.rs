@@ -2,6 +2,12 @@
 //! the actual 2D engine: inject a hard fault plus a soft error into the
 //! same word of a SECDED-protected bank and verify that 2D coding
 //! recovers where plain SECDED cannot.
+//!
+//! Only this cross-validation samples. Projecting a fault campaign's
+//! measured DUE fraction onto a field population needs no sampling:
+//! retirements are a Bernoulli thinning of a Poisson event count, so
+//! they are exactly Poisson with mean `events * p_due`, and
+//! [`crate::poisson`] gives its tail bounds.
 
 use ecc::{Bits, CodeKind};
 use memarray::{ErrorShape, TwoDArray, TwoDConfig};
@@ -113,104 +119,6 @@ fn run_trial<R: Rng>(config: TwoDConfig, rng: &mut R) -> TrialOutcome {
     TrialOutcome::Survived
 }
 
-/// NE/CE/DUE/SDC rates measured by a fault campaign (e.g. the detailed
-/// simulator's `run_sim_campaign`), ready for projection onto a field
-/// population.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MeasuredRates {
-    /// Total fault events injected.
-    pub faults: u64,
-    /// Events with no architecturally visible effect.
-    pub ne: u64,
-    /// Corrected events.
-    pub ce: u64,
-    /// Detected uncorrectable events (each retires a block in the
-    /// field model).
-    pub due: u64,
-    /// Silent corruptions.
-    pub sdc: u64,
-}
-
-impl MeasuredRates {
-    /// Fraction of faults that end as DUE.
-    pub fn due_fraction(&self) -> f64 {
-        if self.faults == 0 {
-            0.0
-        } else {
-            self.due as f64 / self.faults as f64
-        }
-    }
-
-    /// Fraction of faults that end as SDC.
-    pub fn sdc_fraction(&self) -> f64 {
-        if self.faults == 0 {
-            0.0
-        } else {
-            self.sdc as f64 / self.faults as f64
-        }
-    }
-
-    /// Whether every fault landed in exactly one bucket.
-    pub fn accounted(&self) -> bool {
-        self.ne + self.ce + self.due + self.sdc == self.faults
-    }
-}
-
-/// Samples `Poisson(lambda)` by chunked Knuth multiplication (chunking
-/// keeps `exp(-lambda)` representable for large means).
-fn poisson_sample<R: Rng>(lambda: f64, rng: &mut R) -> u64 {
-    const CHUNK: f64 = 10.0;
-    let chunk_limit = (-CHUNK).exp();
-    let mut remaining = lambda;
-    let mut total = 0u64;
-    while remaining > 1e-12 {
-        let (step, limit) = if remaining >= CHUNK {
-            (CHUNK, chunk_limit)
-        } else {
-            (remaining, (-remaining).exp())
-        };
-        let mut k = 0u64;
-        let mut p = 1.0f64;
-        loop {
-            k += 1;
-            p *= rng.gen::<f64>();
-            if p <= limit {
-                break;
-            }
-        }
-        total += k - 1;
-        remaining -= step;
-    }
-    total
-}
-
-/// Projects measured DUE rates onto a field population: over a horizon
-/// producing `expected_events` fault events (Poisson), each event
-/// independently becomes a DUE block retirement with the measured
-/// probability. Returns the mean retirements over `trials` Monte-Carlo
-/// runs — the input to [`crate::YieldModel::yield_after_retirement`].
-pub fn projected_retirements<R: Rng>(
-    rates: &MeasuredRates,
-    expected_events: f64,
-    trials: usize,
-    rng: &mut R,
-) -> f64 {
-    let p_due = rates.due_fraction();
-    if trials == 0 || p_due <= 0.0 {
-        return 0.0;
-    }
-    let mut total = 0u64;
-    for _ in 0..trials {
-        let events = poisson_sample(expected_events, rng);
-        for _ in 0..events {
-            if rng.gen_bool(p_due) {
-                total += 1;
-            }
-        }
-    }
-    total as f64 / trials as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,40 +137,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(22);
         let survival = survival_without_2d(200, &mut rng);
         assert_eq!(survival, 0.0, "SECDED alone cannot correct double errors");
-    }
-
-    #[test]
-    fn poisson_sampler_tracks_mean() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let n = 4_000;
-        let mean: f64 = (0..n)
-            .map(|_| poisson_sample(64.0, &mut rng) as f64)
-            .sum::<f64>()
-            / n as f64;
-        assert!((mean - 64.0).abs() < 1.0, "sample mean {mean} far from 64");
-    }
-
-    #[test]
-    fn retirements_scale_with_due_fraction() {
-        let mut rng = StdRng::seed_from_u64(24);
-        let half = MeasuredRates {
-            faults: 10,
-            ne: 0,
-            ce: 5,
-            due: 5,
-            sdc: 0,
-        };
-        let none = MeasuredRates {
-            faults: 10,
-            ne: 5,
-            ce: 5,
-            due: 0,
-            sdc: 0,
-        };
-        assert!(half.accounted() && none.accounted());
-        let r_half = projected_retirements(&half, 100.0, 500, &mut rng);
-        let r_none = projected_retirements(&none, 100.0, 500, &mut rng);
-        assert!((r_half - 50.0).abs() < 5.0, "expected ~50, got {r_half}");
-        assert_eq!(r_none, 0.0);
     }
 }

@@ -61,6 +61,41 @@ pub fn cdf(k: u64, mu: f64) -> f64 {
     ln_cdf.exp().clamp(0.0, 1.0)
 }
 
+/// The `level` quantile of a Poisson count with mean `mu`: the smallest
+/// `k` with `cdf(k, mu) >= level`, i.e. the exact one-sided upper bound
+/// at confidence `level`.
+///
+/// One pass over the `ln_pmf` terms, accumulated relative to the largest
+/// term so far, so large means neither underflow nor overflow. Should
+/// rounding keep the running sum just short of a `level` near 1, the
+/// walk stops at the first `k` past the mean whose term no longer moves
+/// the sum.
+pub fn quantile(level: f64, mu: f64) -> u64 {
+    if mu <= 0.0 {
+        return 0;
+    }
+    let mut ln_ref = ln_pmf(0, mu);
+    let mut sum = 1.0f64;
+    let mut k = 0u64;
+    loop {
+        if (ln_ref + sum.ln()).exp() >= level {
+            return k;
+        }
+        k += 1;
+        let ln_term = ln_pmf(k, mu);
+        if ln_term > ln_ref {
+            sum = sum * (ln_ref - ln_term).exp() + 1.0;
+            ln_ref = ln_term;
+        } else {
+            let before = sum;
+            sum += (ln_term - ln_ref).exp();
+            if sum == before && k as f64 > mu {
+                return k;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,6 +145,54 @@ mod tests {
         let c = cdf(128, 4000.0);
         assert!(c.is_finite());
         assert!(c < 1e-100);
+    }
+
+    const MEANS: [f64; 6] = [0.0, 0.5, 64.0 / 7.0, 128.0 / 7.0, 64.0, 400.0];
+    const LEVELS: [f64; 5] = [0.0, 0.05, 0.5, 0.95, 0.999];
+
+    #[test]
+    fn quantile_meets_its_definition() {
+        for mu in MEANS {
+            for level in LEVELS {
+                let q = quantile(level, mu);
+                assert!(
+                    level <= cdf(q, mu),
+                    "mu={mu} level={level}: cdf(q={q}) short"
+                );
+                if q > 0 {
+                    assert!(
+                        cdf(q - 1, mu) < level,
+                        "mu={mu} level={level}: q={q} is not the smallest"
+                    );
+                }
+            }
+        }
+        // The campaign's bounds: 64 events at DUE fractions 1/7 and 2/7.
+        assert_eq!(quantile(0.95, 64.0 / 7.0), 14);
+        assert_eq!(quantile(0.95, 128.0 / 7.0), 26);
+    }
+
+    #[test]
+    fn quantile_is_monotone_in_mu() {
+        for level in LEVELS {
+            let mut last = 0;
+            for step in 0..=400 {
+                let q = quantile(level, step as f64 * 0.25);
+                assert!(
+                    q >= last,
+                    "level={level} mu={}: {q} < {last}",
+                    step as f64 * 0.25
+                );
+                last = q;
+            }
+        }
+    }
+
+    #[test]
+    fn quantile_terminates_at_level_one() {
+        for mu in MEANS {
+            assert!(quantile(1.0, mu) as f64 >= mu);
+        }
     }
 
     #[test]

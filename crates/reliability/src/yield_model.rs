@@ -85,9 +85,9 @@ impl YieldModel {
 
     /// Yield after in-field block retirement has consumed part of the
     /// spare budget: `retired_words` of the provisioned `spares` are
-    /// already spent on DUE retirements (as projected by
-    /// `montecarlo::projected_retirements`), leaving fewer for
-    /// manufacturing defects.
+    /// already spent on DUE retirements (a fault campaign passes the
+    /// ceiling of its expected count, `events * p_due`), leaving fewer
+    /// for manufacturing defects.
     pub fn yield_after_retirement(
         &self,
         failing_cells: u64,
