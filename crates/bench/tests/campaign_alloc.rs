@@ -19,7 +19,7 @@ use twod_cache::TwoDScheme;
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
 /// Allocations of one campaign of the benchmark's shape.
-const CAMPAIGN_ALLOCS: u64 = 1_484;
+const CAMPAIGN_ALLOCS: u64 = 799;
 
 #[test]
 fn campaign_allocation_pins() {

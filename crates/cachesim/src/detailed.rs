@@ -15,7 +15,7 @@ use crate::{
     WorkloadProfile,
 };
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -135,10 +135,26 @@ pub struct DetailedSim {
     warmed: bool,
     rngs: Vec<StdRng>,
     stats: DetailedStats,
-    /// Probability a ready core issues a memory reference this cycle:
-    /// memory ops per cycle implied by the workload's instruction mix
-    /// (non-memory instructions pace the stream).
-    pace: f64,
+    /// Probability a ready core issues a memory reference this cycle
+    /// (memory ops per cycle implied by the workload's instruction mix;
+    /// non-memory instructions pace the stream), as the integer
+    /// threshold of [`pace_threshold`].
+    pace: u64,
+}
+
+/// The integer form of `gen_bool(p)`: `rng.gen_bool(p)` is true exactly
+/// when `rng.next_u64() >> 11 < pace_threshold(p)`. `gen_bool` compares
+/// the 53-bit draw `m` as `m · 2⁻⁵³ < p`; both sides are exact in `f64`
+/// (`m < 2⁵³`, and scaling by a power of two is exact), so the test is
+/// `m < p · 2⁵³` over the reals, which for an integer `m` is
+/// `m < ⌈p · 2⁵³⌉`.
+///
+/// # Panics
+///
+/// Panics if `p` is not in `[0, 1]`, as `gen_bool` does.
+fn pace_threshold(p: f64) -> u64 {
+    assert!((0.0..=1.0).contains(&p), "probability {p} out of range");
+    (p * (1u64 << 53) as f64).ceil() as u64
 }
 
 impl DetailedSim {
@@ -162,10 +178,12 @@ impl DetailedSim {
         let rngs = (0..config.cores)
             .map(|i| StdRng::seed_from_u64(seed ^ (i as u64) << 32))
             .collect();
-        let pace = (config.issue_width as f64 * workload.mem_per_instr()
-            / (workload.base_cpi + workload.mem_per_instr()))
-        .min(1.0)
-            * 0.7;
+        let pace = pace_threshold(
+            (config.issue_width as f64 * workload.mem_per_instr()
+                / (workload.base_cpi + workload.mem_per_instr()))
+            .min(1.0)
+                * 0.7,
+        );
         DetailedSim {
             l2: BankedL2::new(config.l2_banks, config.l2_bank_occupancy, policy.protect_l2),
             directory: Directory::new(),
@@ -280,7 +298,7 @@ impl DetailedSim {
                 }
                 // Pace memory references to the workload's instruction
                 // mix: non-memory instructions consume the other slots.
-                if !self.rngs[core].gen_bool(self.pace) {
+                if self.rngs[core].next_u64() >> 11 >= self.pace {
                     continue;
                 }
                 let record = self.streams[core].record(self.rngs[core].gen());
@@ -406,6 +424,38 @@ pub fn run_detailed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// An RNG that returns one fixed 53-bit draw.
+    struct Fixed(u64);
+
+    impl RngCore for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0 << 11
+        }
+    }
+
+    proptest! {
+        /// The integer pace draw answers exactly as `gen_bool`, for random
+        /// probabilities (and the ends of the range): on random draws of a
+        /// seeded stream, and on the two draws either side of the
+        /// threshold.
+        #[test]
+        fn pace_threshold_equals_gen_bool(
+            p in prop_oneof![Just(0.0), Just(1.0), Just(0.5), 0.0f64..1.0],
+            seed in any::<u64>(),
+        ) {
+            let threshold = pace_threshold(p);
+            let mut by_float = StdRng::seed_from_u64(seed);
+            let mut by_int = by_float.clone();
+            for _ in 0..256 {
+                prop_assert_eq!(by_float.gen_bool(p), by_int.next_u64() >> 11 < threshold);
+            }
+            for m in [threshold.saturating_sub(1), threshold.min((1 << 53) - 1)] {
+                prop_assert_eq!(Fixed(m).gen_bool(p), m < threshold, "p {} draw {}", p, m);
+            }
+        }
+    }
 
     const CYCLES: u64 = 15_000;
 

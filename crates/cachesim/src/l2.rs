@@ -74,7 +74,7 @@ impl BankedL2 {
     /// Like [`BankedL2::access`], but additionally holds the bank for
     /// `penalty` extra cycles — the back-pressure hook for correction
     /// and recovery latency measured by a protected backing store
-    /// (`memarray::TwoDArray::read_word_timed`): while a bank is busy
+    /// (`memarray::TwoDArray::read_word_into`): while a bank is busy
     /// correcting, queued requests behind it wait longer, which is how
     /// correction work becomes measurable MSHR and port pressure.
     ///

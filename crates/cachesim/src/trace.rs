@@ -185,6 +185,10 @@ impl FunctionalCache {
     /// directory in sync with capacity pressure and to generate the
     /// L1-to-L2 writeback traffic that exercises read-before-write on a
     /// protected L2.
+    ///
+    /// Always inlined into the simulator's step, which calls it once per
+    /// reference (the compiler otherwise keeps it out of line there).
+    #[inline(always)]
     pub fn access_evicting(&mut self, addr: u64, is_write: bool) -> (bool, Option<(u64, bool)>) {
         let line = addr >> self.line_shift;
         let set = (line & (self.sets as u64 - 1)) as usize;
@@ -194,8 +198,9 @@ impl FunctionalCache {
         let way = &mut self.slots[base..base + fill];
         if let Some(pos) = way.iter().position(|&(t, _)| t == tag) {
             // Move the hit line to the MRU slot.
-            way[..=pos].rotate_right(1);
-            way[0].1 |= is_write;
+            let (_, dirty) = way[pos];
+            shift_down(way, pos);
+            way[0] = (tag, dirty | is_write);
             self.hits += 1;
             return (true, None);
         }
@@ -210,12 +215,21 @@ impl FunctionalCache {
         } else {
             self.fill[set] += 1;
         }
-        // The LRU (or first free) slot rotates to the front and takes the
-        // new line.
+        // The lines ahead of the LRU (or first free) slot move down one,
+        // and the front takes the new line.
         let way = &mut self.slots[base..base + self.fill[set]];
-        way.rotate_right(1);
+        shift_down(way, way.len() - 1);
         way[0] = (tag, is_write);
         (false, evicted)
+    }
+}
+
+/// Moves `way[..end]` down one slot, over `way[end]`: a plain loop over
+/// a handful of ways, cheaper here than the out-of-line `rotate_right`.
+#[inline]
+fn shift_down(way: &mut [(u64, bool)], end: usize) {
+    for i in (1..=end).rev() {
+        way[i] = way[i - 1];
     }
 }
 

@@ -10,8 +10,10 @@ use std::sync::Arc;
 
 /// Correction latency of an in-line (SECDED-style) single-bit fix, in
 /// array-access cycles: the one extra access that writes the corrected
-/// word back. Returned by the `*_timed` accessors; the clean path costs
-/// zero and a full 2D recovery costs [`RecoveryReport::cycles`].
+/// word back. Returned by the timed accessors ([`TwoDArray::read_word_into`],
+/// [`TwoDArray::read_row_timed`], [`TwoDArray::write_word_timed`]); the
+/// clean path costs zero and a full 2D recovery costs
+/// [`RecoveryReport::cycles`].
 pub const INLINE_CORRECT_CYCLES: u64 = 1;
 
 /// Outcome of a word read from a 2D-protected array.
@@ -496,6 +498,22 @@ impl TwoDArray {
         }
     }
 
+    /// Whether `row` reads all zero through the stuck-at overlay. With no
+    /// stuck-at cell in the bank the stored limbs are the row, so they
+    /// are tested in place; otherwise the overlaid row is loaded into the
+    /// scratch row first.
+    fn row_is_blank(&mut self, row: usize) -> bool {
+        if self.faults.is_empty() {
+            return self
+                .grid
+                .row_range_limbs(row, 1)
+                .iter()
+                .all(|&limb| limb == 0);
+        }
+        self.load_scratch_row(row);
+        self.scratch_row.is_zero()
+    }
+
     /// Loads the overlaid content of `row` into the reusable scratch row
     /// (no allocation).
     #[inline]
@@ -577,26 +595,13 @@ impl TwoDArray {
     ///
     /// Panics if `row`/`word` are out of range.
     pub fn read_word(&mut self, row: usize, word: usize) -> Result<ReadOutcome, EngineError> {
-        self.read_word_timed(row, word).map(|(out, _)| out)
+        self.read_word_owned(row, word).map(|(out, _)| out)
     }
 
-    /// Like [`TwoDArray::read_word`], but additionally returns the
-    /// correction latency the read incurred, in array-access cycles:
-    /// `0` for a clean read, [`INLINE_CORRECT_CYCLES`] for an in-line
-    /// SECDED fix (the corrected word is written back), and the BIST
-    /// march cost ([`RecoveryReport::cycles`]) when a 2D recovery had to
-    /// run. Cycle-level cache simulators use this hook to turn
-    /// correction work into measurable bank and MSHR back-pressure.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Uncorrectable`] when recovery cannot
-    /// restore the word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row`/`word` are out of range.
-    pub fn read_word_timed(
+    /// [`TwoDArray::read_word`] with the correction latency of
+    /// [`TwoDArray::read_word_into`]: the one implementation of the
+    /// decode, in-line fix and recovery paths.
+    fn read_word_owned(
         &mut self,
         row: usize,
         word: usize,
@@ -648,9 +653,16 @@ impl TwoDArray {
         }
     }
 
-    /// Scratch-buffer read: like [`TwoDArray::read_word`] but the data
-    /// lands in a caller-owned buffer, so the clean path performs zero
-    /// heap allocations.
+    /// Timed scratch-buffer read: like [`TwoDArray::read_word`], but the
+    /// data lands in a caller-owned buffer, so the clean path performs
+    /// zero heap allocations, and the read also returns the correction
+    /// latency it incurred, in array-access cycles: `0` for a clean read,
+    /// [`INLINE_CORRECT_CYCLES`] for an in-line SECDED fix (the corrected
+    /// word is written back), and the BIST march cost
+    /// ([`RecoveryReport::cycles`]) when a 2D recovery had to run.
+    /// Cycle-level cache simulators use this hook to turn correction
+    /// work into measurable bank and MSHR back-pressure. A read that
+    /// fails leaves `out` unchanged.
     ///
     /// # Errors
     ///
@@ -666,32 +678,36 @@ impl TwoDArray {
         row: usize,
         word: usize,
         out: &mut Bits,
-    ) -> Result<ReadKind, EngineError> {
+    ) -> Result<(ReadKind, u64), EngineError> {
         assert!(row < self.rows(), "row {row} out of range");
         assert!(word < self.words_per_row(), "word {word} out of range");
         self.load_scratch_row(row);
         if self.clean_scratch_word_into(word, out) {
             self.stats.reads += 1;
-            return Ok(ReadKind::Clean);
+            return Ok((ReadKind::Clean, 0));
         }
         // Dirty path: delegate to the allocating read (it counts the
         // read, runs inline correction / recovery) and copy the result.
-        let outcome = self.read_word(row, word)?;
+        let (outcome, cycles) = self.read_word_owned(row, word)?;
         out.copy_from(outcome.data());
-        Ok(outcome.kind())
+        Ok((outcome.kind(), cycles))
     }
 
     /// Row audit: reads every word of `row` with one clean check of the
     /// whole row. Word `w`'s data lands in `out[w]` and its outcome in
     /// `reads[w]`: how it was obtained and its correction latency in
-    /// array-access cycles, or why it could not be read.
+    /// array-access cycles, or why it could not be read. Returns whether
+    /// the row was blank.
     ///
     /// The result — outcomes, data, cycles, stats and the bank state left
-    /// behind — is exactly that of calling [`TwoDArray::read_word_timed`]
-    /// on each word in order. A clean row costs one row syndrome
+    /// behind — is exactly that of calling [`TwoDArray::read_word_into`]
+    /// on each word in order. A blank row (all zero once the stuck-at
+    /// overlay is applied) is a codeword of every word, since the codes
+    /// are linear, so every word reads `Clean` as zero with no check or
+    /// extraction at all. Any other clean row costs one row syndrome
     /// ([`BankScheme::dirty_words`]) and one extraction per word, with no
     /// allocation. From the first dirty word on, every word takes the
-    /// per-word path (inline fix, recovery or `Err`), since a fix may
+    /// per-word read (inline fix, recovery or `Err`), since a fix may
     /// rewrite the row. A word that reads as `Err` leaves its buffer
     /// unchanged.
     ///
@@ -705,11 +721,20 @@ impl TwoDArray {
         row: usize,
         out: &mut [Bits],
         reads: &mut [Result<(ReadKind, u64), EngineError>],
-    ) {
+    ) -> bool {
         assert!(row < self.rows(), "row {row} out of range");
         let layout = self.layout();
         assert_eq!(out.len(), layout.interleave(), "word count mismatch");
         assert_eq!(reads.len(), layout.interleave(), "word count mismatch");
+        if self.row_is_blank(row) {
+            for (data, read) in out.iter_mut().zip(reads.iter_mut()) {
+                assert_eq!(data.len(), layout.data_bits(), "data width mismatch");
+                data.clear();
+                *read = Ok((ReadKind::Clean, 0));
+            }
+            self.stats.reads += out.len() as u64;
+            return true;
+        }
         self.load_scratch_row(row);
         let dirty = self.scheme.dirty_words(self.scratch_row.as_limbs());
         let clean_prefix = dirty.trailing_zeros() as usize;
@@ -720,11 +745,9 @@ impl TwoDArray {
                 *read = Ok((ReadKind::Clean, 0));
                 continue;
             }
-            *read = self.read_word_timed(row, w).map(|(outcome, cycles)| {
-                data.copy_from(outcome.data());
-                (outcome.kind(), cycles)
-            });
+            *read = self.read_word_into(row, w, data);
         }
+        false
     }
 
     /// u64 read fast lane: returns `width` data bits of word `word`
@@ -2242,19 +2265,22 @@ mod tests {
         let mut buf = Bits::zeros(64);
         assert_eq!(
             bank.read_word_into(3, 1, &mut buf).unwrap(),
-            ReadKind::Clean
+            (ReadKind::Clean, 0)
         );
         assert_eq!(buf, words[3][1]);
-        // Dirty word: the scratch variant reports the recovery kind.
+        // Dirty word: the scratch variant reports the recovery kind and
+        // the recovery's march cost.
         bank.inject(ErrorShape::Cluster {
             row: 3,
             col: 0,
             height: 1,
             width: 8,
         });
+        let march = bank.clone().recover().unwrap().cycles;
+        assert!(march > 0);
         assert_eq!(
             bank.read_word_into(3, 1, &mut buf).unwrap(),
-            ReadKind::Recovered
+            (ReadKind::Recovered, march)
         );
         assert_eq!(buf, words[3][1]);
     }

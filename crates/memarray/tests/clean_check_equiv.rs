@@ -13,8 +13,10 @@
 //! [`CodeKind`] the workspace builds, on dense and mostly-zero rows with
 //! 0–3 random flips and random garbage in the padding bits and limbs
 //! past the row. The row audit ([`TwoDArray::read_row_timed`]) is pinned
-//! against per-word [`TwoDArray::read_word_timed`] on a twin bank under
-//! clusters, stuck-at cells and stripe collisions. They also pin the strided
+//! against per-word [`TwoDArray::read_word_into`] on a twin bank under
+//! clusters, stuck-at cells and stripe collisions, with blank (never
+//! written) rows among written ones, stuck-at-0 cells that leave a blank
+//! row blank and stuck-at-1 cells that do not. They also pin the strided
 //! gather/scatter kernels of [`RowLayout`] against a per-bit reference
 //! at every start column for strides 1/2/4/8, and the tag screen
 //! ([`RowLayout::candidate_words`]) against exact per-word comparison.
@@ -218,13 +220,24 @@ fn audit_configs() -> [TwoDConfig; 4] {
     ]
 }
 
-/// One bank filled with words drawn from `seed`, then damaged: a cluster,
-/// optionally stuck-at cells and a stripe collision (two flips in one
-/// column, `V` rows apart, which the vertical syndrome cannot see).
-fn damaged_bank(config: TwoDConfig, seed: u64, damage: &[usize; 8]) -> TwoDArray {
+/// Whether row `r` is left blank (never written) under the mask `blank`.
+fn is_blank(blank: u64, r: usize) -> bool {
+    (blank >> (r % 64)) & 1 == 1
+}
+
+/// One bank filled with words drawn from `seed` except on the rows
+/// `blank` leaves blank, then damaged: stuck-at-0 cells on the first
+/// blank row (it stays blank) and a stuck-at-1 cell on the second (it
+/// does not), a cluster, optionally more stuck-at cells, and optionally
+/// a stripe collision (two flips in one column, `V` rows apart, which
+/// the vertical syndrome cannot see).
+fn damaged_bank(config: TwoDConfig, seed: u64, damage: &[usize; 8], blank: u64) -> TwoDArray {
     let mut bank = TwoDArray::new(config);
     let mut state = seed | 1;
     for r in 0..bank.rows() {
+        if is_blank(blank, r) {
+            continue;
+        }
         for w in 0..bank.words_per_row() {
             let limbs: Vec<u64> = (0..config.data_bits.div_ceil(64))
                 .map(|_| {
@@ -238,6 +251,25 @@ fn damaged_bank(config: TwoDConfig, seed: u64, damage: &[usize; 8]) -> TwoDArray
         }
     }
     let (rows, cols) = (bank.rows(), bank.cols());
+    let blank_rows: Vec<usize> = (0..rows).filter(|&r| is_blank(blank, r)).collect();
+    if let [zero_row, one_row, ..] = blank_rows[..] {
+        bank.inject_hard(
+            ErrorShape::Cluster {
+                row: zero_row,
+                col: damage[3] % cols,
+                height: 1,
+                width: 1 + damage[2] % 8,
+            },
+            false,
+        );
+        bank.inject_hard(
+            ErrorShape::Single {
+                row: one_row,
+                col: damage[1] % cols,
+            },
+            true,
+        );
+    }
     bank.inject(ErrorShape::Cluster {
         row: damage[0] % rows,
         col: damage[1] % cols,
@@ -271,32 +303,41 @@ proptest! {
 
     /// The row audit equals per-word timed reads on a twin bank: the same
     /// kinds, data, cycles and errors word by word, and the same stats,
-    /// grid, parity and stuck-at overlay afterwards.
+    /// grid, parity and stuck-at overlay afterwards. It reports a row
+    /// blank exactly when the row reads all zero through the overlay.
     #[test]
     fn row_audit_matches_per_word_reads(
         cfg_idx in 0usize..4,
         seed in any::<u64>(),
         damage in any::<[usize; 8]>(),
+        blank in prop_oneof![Just(0u64), any::<u64>()],
     ) {
         let config = audit_configs()[cfg_idx];
-        let mut audited = damaged_bank(config, seed, &damage);
-        let mut twin = damaged_bank(config, seed, &damage);
+        let mut audited = damaged_bank(config, seed, &damage, blank);
+        let mut twin = damaged_bank(config, seed, &damage, blank);
         let layout = audited.layout();
         prop_assert_eq!(layout.interleave() * layout.check_bits() > 64, cfg_idx == 3);
         let words = audited.words_per_row();
         let mut data = vec![Bits::zeros(config.data_bits); words];
         let mut reads: Vec<Result<(ReadKind, u64), EngineError>> =
             vec![Ok((ReadKind::Clean, 0)); words];
+        // Garbage in every landing buffer: a read that fails must leave it,
+        // and a blank row must zero it.
+        let garbage = Bits::ones(config.data_bits);
+        let mut word = garbage.clone();
         for row in 0..audited.rows() {
-            audited.read_row_timed(row, &mut data, &mut reads);
+            let mut seen = audited.grid().row(row);
+            audited.fault_map().overlay_row(row, &mut seen);
+            for d in &mut data {
+                d.copy_from(&garbage);
+            }
+            let was_blank = audited.read_row_timed(row, &mut data, &mut reads);
+            prop_assert_eq!(was_blank, seen.is_zero(), "{:?} row {}", config, row);
             for w in 0..words {
-                match twin.read_word_timed(row, w) {
-                    Ok((outcome, cycles)) => {
-                        prop_assert_eq!(&reads[w], &Ok((outcome.kind(), cycles)), "{:?} row {} word {}", config, row, w);
-                        prop_assert_eq!(&data[w], outcome.data(), "{:?} row {} word {}", config, row, w);
-                    }
-                    Err(e) => prop_assert_eq!(&reads[w], &Err(e), "{:?} row {} word {}", config, row, w),
-                }
+                word.copy_from(&garbage);
+                let read = twin.read_word_into(row, w, &mut word);
+                prop_assert_eq!(&reads[w], &read, "{:?} row {} word {}", config, row, w);
+                prop_assert_eq!(&data[w], &word, "{:?} row {} word {}", config, row, w);
             }
         }
         prop_assert_eq!(audited.stats(), twin.stats());
