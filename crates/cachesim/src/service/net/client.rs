@@ -4,10 +4,10 @@
 //! chaos campaign kills and re-establishes connections mid-storm).
 
 use super::protocol::{
-    self, FrameRead, HealthReport, ItemOutcome, Request, Response, ResponseKind, ScrubSnapshot,
-    ServerError,
+    self, Arrival, HealthReport, ItemOutcome, ProtocolError, Request, Response, ResponseKind,
+    ScrubSnapshot, ServerError,
 };
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -22,7 +22,11 @@ pub struct ClientConfig {
     /// Per-`write` socket timeout.
     pub write_timeout: Duration,
     /// Overall deadline for one response to arrive; idle polls beyond
-    /// this yield [`ServerError::DeadlineExpired`].
+    /// this yield [`ServerError::DeadlineExpired`]. The clock is read
+    /// only once a read has timed out, and the wait is taken to have
+    /// begun one `read_timeout` before that first idle poll, so the
+    /// error comes no sooner than this deadline and at most about one
+    /// `read_timeout` after it.
     pub response_deadline: Duration,
 }
 
@@ -218,8 +222,7 @@ impl NetClient {
         protocol::encode_get_multi(id, keys, &mut self.out)?;
         protocol::write_all(&mut self.writer, &self.out)?;
         self.writer.flush().map_err(ServerError::from)?;
-        self.await_frame()?;
-        let got_id = protocol::decode_multi_response(&self.payload, true, out)?;
+        let got_id = self.await_frame(|frame| protocol::decode_multi_response(frame, true, out))?;
         if got_id != id {
             return Err(ServerError::IdMismatch {
                 expected: id,
@@ -245,8 +248,8 @@ impl NetClient {
         protocol::encode_set_multi(id, items, &mut self.out)?;
         protocol::write_all(&mut self.writer, &self.out)?;
         self.writer.flush().map_err(ServerError::from)?;
-        self.await_frame()?;
-        let got_id = protocol::decode_multi_response(&self.payload, false, out)?;
+        let got_id =
+            self.await_frame(|frame| protocol::decode_multi_response(frame, false, out))?;
         if got_id != id {
             return Err(ServerError::IdMismatch {
                 expected: id,
@@ -324,7 +327,7 @@ impl NetClient {
     /// response.
     pub fn health(&mut self) -> Result<HealthReport, ServerError> {
         match self.request(&Request::Health)? {
-            Response::Health(report) => Ok(report),
+            Response::Health(report) => Ok(*report),
             other => Err(ServerError::Rejected(other.status_byte())),
         }
     }
@@ -337,22 +340,37 @@ impl NetClient {
     /// response.
     pub fn scrub_stats(&mut self) -> Result<ScrubSnapshot, ServerError> {
         match self.request(&Request::ScrubStats)? {
-            Response::ScrubStats(snap) => Ok(snap),
+            Response::ScrubStats(snap) => Ok(*snap),
             other => Err(ServerError::Rejected(other.status_byte())),
         }
     }
 
-    /// Fills `self.payload` with the next response frame, polling
-    /// through idle read timeouts until
-    /// [`ClientConfig::response_deadline`].
-    fn await_frame(&mut self) -> Result<(), ServerError> {
-        let begun = Instant::now();
+    /// Waits for the next response frame, polling through idle read
+    /// timeouts until [`ClientConfig::response_deadline`], and decodes
+    /// it with `decode`: in place when the whole frame already sits in
+    /// the reader's buffer (then consumed), else from the copy of a
+    /// frame split across reads. A response that arrives before its
+    /// first read times out costs no clock read.
+    fn await_frame<T>(
+        &mut self,
+        decode: impl FnOnce(&[u8]) -> Result<T, ProtocolError>,
+    ) -> Result<T, ServerError> {
+        let mut begun: Option<Instant> = None;
         loop {
-            match protocol::read_frame(&mut self.reader, &mut self.payload)? {
-                FrameRead::Frame => return Ok(()),
-                FrameRead::Eof => return Err(ServerError::Closed),
-                FrameRead::Idle => {
-                    if begun.elapsed() >= self.cfg.response_deadline {
+            match protocol::next_frame(&mut self.reader, &mut self.payload)? {
+                Arrival::Buffered(len) => {
+                    let decoded = decode(&self.reader.buffer()[4..4 + len]);
+                    self.reader.consume(4 + len);
+                    return Ok(decoded?);
+                }
+                Arrival::Copied => return Ok(decode(&self.payload)?),
+                Arrival::Eof => return Err(ServerError::Closed),
+                Arrival::Idle => {
+                    let now = Instant::now();
+                    let begun = *begun.get_or_insert_with(|| {
+                        now.checked_sub(self.cfg.read_timeout).unwrap_or(now)
+                    });
+                    if now.duration_since(begun) >= self.cfg.response_deadline {
                         return Err(ServerError::DeadlineExpired);
                     }
                 }
@@ -362,8 +380,7 @@ impl NetClient {
 
     /// Reads one response frame and verifies its id.
     fn read_response(&mut self, want_id: u32, kind: ResponseKind) -> Result<Response, ServerError> {
-        self.await_frame()?;
-        let (id, resp) = protocol::decode_response(&self.payload, kind)?;
+        let (id, resp) = self.await_frame(|frame| protocol::decode_response(frame, kind))?;
         if id != want_id {
             return Err(ServerError::IdMismatch {
                 expected: want_id,

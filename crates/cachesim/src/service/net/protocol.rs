@@ -60,7 +60,7 @@
 //! hostile length can never cause an allocation burst.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use twod_cache::ScrubberStats;
 
 /// Hard ceiling on one frame's payload length. Large enough for a
@@ -136,6 +136,11 @@ pub enum Request {
 }
 
 /// A decoded server response.
+///
+/// The two snapshot answers carry boxed payloads, so a `Response` is 16
+/// bytes: the GET/SET answers a client collects per request stay one
+/// tag and one `u64`, and a vector of them is moved and copied at that
+/// size, however large a [`HealthReport`] is.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Response {
     /// `GET` succeeded with this value.
@@ -161,9 +166,9 @@ pub enum Response {
     /// (e.g. key above [`MAX_KEY`]).
     BadRequest,
     /// `HEALTH` snapshot.
-    Health(HealthReport),
+    Health(Box<HealthReport>),
     /// `SCRUB_STATS` snapshot.
-    ScrubStats(ScrubSnapshot),
+    ScrubStats(Box<ScrubSnapshot>),
 }
 
 impl Response {
@@ -919,8 +924,8 @@ pub fn decode_response(
         status::OK => match kind {
             ResponseKind::Get => Response::Value(c.u64()?),
             ResponseKind::Set => Response::Ok,
-            ResponseKind::Health => Response::Health(decode_health(&mut c)?),
-            ResponseKind::ScrubStats => Response::ScrubStats(decode_scrub(&mut c)?),
+            ResponseKind::Health => Response::Health(Box::new(decode_health(&mut c)?)),
+            ResponseKind::ScrubStats => Response::ScrubStats(Box::new(decode_scrub(&mut c)?)),
         },
         status::BUSY => Response::Busy {
             retry_after_ms: c.u32()?,
@@ -1085,9 +1090,7 @@ pub fn read_frame<R: Read>(r: &mut R, payload: &mut Vec<u8>) -> Result<FrameRead
     match r.read(&mut len_buf[..1]) {
         Ok(0) => return Ok(FrameRead::Eof),
         Ok(_) => {}
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            return Ok(FrameRead::Idle)
-        }
+        Err(e) if is_timeout(&e) => return Ok(FrameRead::Idle),
         Err(e) => return Err(e.into()),
     }
     read_exact_mapped(r, &mut len_buf[1..])?;
@@ -1102,6 +1105,85 @@ pub fn read_frame<R: Read>(r: &mut R, payload: &mut Vec<u8>) -> Result<FrameRead
     payload.resize(len, 0);
     read_exact_mapped(r, payload)?;
     Ok(FrameRead::Frame)
+}
+
+/// Payload length of the frame at the start of `buf` when the whole
+/// frame is there, `None` when `buf` holds no frame or only part of one.
+/// The length prefix is validated exactly as [`read_frame`] validates
+/// it, so a hostile length is rejected the same way on both paths.
+///
+/// # Errors
+///
+/// [`ProtocolError::Oversized`] or [`ProtocolError::Empty`] on a bad
+/// length prefix.
+pub fn complete_frame_len(buf: &[u8]) -> Result<Option<usize>, ProtocolError> {
+    let Some(&[a, b, c, d]) = buf.first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes([a, b, c, d]) as usize;
+    if len > MAX_FRAME_BYTES {
+        return Err(ProtocolError::Oversized { len });
+    }
+    if len == 0 {
+        return Err(ProtocolError::Empty);
+    }
+    Ok((buf.len() >= 4 + len).then_some(len))
+}
+
+/// Where [`next_frame`] left the next frame.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Arrival {
+    /// The whole frame sits in the reader's buffer, its payload `len`
+    /// bytes after the 4-byte prefix: decode
+    /// `reader.buffer()[4..4 + len]` in place, then `consume(4 + len)`.
+    Buffered(usize),
+    /// The frame was split across reads, so [`read_frame`] copied its
+    /// payload into the caller's buffer.
+    Copied,
+    /// Clean EOF at a frame boundary: the peer closed politely.
+    Eof,
+    /// The read deadline passed with no byte of a new frame.
+    Idle,
+}
+
+/// Waits for the next frame on a buffered reader without copying it
+/// when it can: a frame already complete in the buffer is left there
+/// ([`Arrival::Buffered`]), and only a frame split across reads goes
+/// through [`read_frame`] into `payload` ([`Arrival::Copied`]). An empty
+/// buffer is refilled with one `read`; its timeout is
+/// [`Arrival::Idle`], as in [`read_frame`].
+///
+/// # Errors
+///
+/// As [`read_frame`].
+pub fn next_frame<R: Read>(
+    reader: &mut BufReader<R>,
+    payload: &mut Vec<u8>,
+) -> Result<Arrival, ServerError> {
+    if reader.buffer().is_empty() {
+        match reader.fill_buf() {
+            Ok([]) => return Ok(Arrival::Eof),
+            Ok(_) => {}
+            Err(e) if is_timeout(&e) => return Ok(Arrival::Idle),
+            Err(e) => return Err(e.into()),
+        }
+    }
+    if let Some(len) = complete_frame_len(reader.buffer())? {
+        return Ok(Arrival::Buffered(len));
+    }
+    Ok(match read_frame(reader, payload)? {
+        FrameRead::Frame => Arrival::Copied,
+        FrameRead::Eof => Arrival::Eof,
+        FrameRead::Idle => Arrival::Idle,
+    })
+}
+
+/// Whether a read error is a socket read timeout.
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
 }
 
 /// `read_exact` with EOF-inside-frame mapped to [`ServerError::Closed`].
@@ -1148,7 +1230,7 @@ mod tests {
 
     #[test]
     fn response_round_trips() {
-        let health = Response::Health(HealthReport {
+        let health = Response::Health(Box::new(HealthReport {
             banks: vec![
                 BankHealth {
                     degraded: true,
@@ -1167,7 +1249,7 @@ mod tests {
                 ..ScrubberStats::default()
             }),
             clean_scan_gbps: 3.25,
-        });
+        }));
         let cases = [
             (Response::Value(7), ResponseKind::Get),
             (Response::Ok, ResponseKind::Set),
@@ -1177,13 +1259,13 @@ mod tests {
             (Response::BadRequest, ResponseKind::Set),
             (health, ResponseKind::Health),
             (
-                Response::ScrubStats(ScrubSnapshot {
+                Response::ScrubStats(Box::new(ScrubSnapshot {
                     attached: true,
                     events: 3,
                     device_hours: 1.5,
                     fit_per_mbit: 0.25,
                     ..ScrubSnapshot::default()
-                }),
+                })),
                 ResponseKind::ScrubStats,
             ),
         ];
@@ -1363,9 +1445,43 @@ mod tests {
         };
         assert!((report.admission_occupancy() - 0.625).abs() < 1e-12);
         let mut buf = Vec::new();
-        encode_response(4, &Response::Health(report.clone()), &mut buf);
+        encode_response(4, &Response::Health(Box::new(report.clone())), &mut buf);
         let (_, back) = decode_response(&buf[4..], ResponseKind::Health).unwrap();
-        assert_eq!(back, Response::Health(report));
+        assert_eq!(back, Response::Health(Box::new(report)));
+    }
+
+    #[test]
+    fn complete_frame_len_sees_only_whole_frames() {
+        let mut buf = Vec::new();
+        encode_request(7, &Request::Get { key: 3 }, &mut buf);
+        let len = buf.len() - 4;
+        for cut in 0..buf.len() {
+            assert_eq!(complete_frame_len(&buf[..cut]), Ok(None), "cut at {cut}");
+        }
+        assert_eq!(complete_frame_len(&buf), Ok(Some(len)));
+        buf.push(0xAB);
+        assert_eq!(
+            complete_frame_len(&buf),
+            Ok(Some(len)),
+            "next frame's bytes"
+        );
+        assert_eq!(
+            complete_frame_len(&0u32.to_le_bytes()),
+            Err(ProtocolError::Empty)
+        );
+        assert_eq!(
+            complete_frame_len(&u32::MAX.to_le_bytes()),
+            Err(ProtocolError::Oversized {
+                len: u32::MAX as usize
+            })
+        );
+    }
+
+    #[test]
+    fn response_stays_two_words() {
+        // A GET answer is a tag and a u64; the snapshots are boxed so
+        // they do not widen every response.
+        assert!(std::mem::size_of::<Response>() <= 16);
     }
 
     #[test]

@@ -37,11 +37,12 @@
 //!
 //! # Batched execution
 //!
-//! The handler is batch-native: after a blocking [`protocol::read_frame`]
-//! returns one frame, every *complete* frame already sitting in the
-//! connection's `BufReader` is greedily drained and decoded into a
-//! reusable [`BatchArena`] — single ops and `GET_MULTI`/`SET_MULTI`
-//! items alike. Every op is routed to its bank once
+//! The handler is batch-native: after a blocking [`protocol::next_frame`]
+//! has a frame, every *complete* frame sitting in the connection's
+//! `BufReader` — the first one included — is greedily drained and
+//! decoded in place into a reusable [`BatchArena`], single ops and
+//! `GET_MULTI`/`SET_MULTI` items alike. Only a frame split across reads
+//! is copied out first, by [`protocol::read_frame`]. Every op is routed to its bank once
 //! ([`ConcurrentBankedCache::route_batch`]); admission runs once per bank
 //! *group* of that route (slots reserved in bulk, sheds decided per
 //! item), the cache executes the admitted route via
@@ -54,8 +55,8 @@
 //! `net_batch.allocs_per_op` bench row.
 
 use super::protocol::{
-    self, BankHealth, HealthReport, ItemOutcome, ProtocolError, Request, RequestFrame, Response,
-    ScrubSnapshot, ServerError,
+    self, Arrival, BankHealth, HealthReport, ItemOutcome, ProtocolError, Request, RequestFrame,
+    Response, ScrubSnapshot, ServerError,
 };
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -81,7 +82,10 @@ pub struct ServerConfig {
     /// responses is disconnected rather than buffered against.
     pub write_timeout: Duration,
     /// Idle reaping horizon: a connection with no traffic at all for
-    /// this long is closed.
+    /// this long is closed. Idleness is counted in consecutive idle
+    /// polls of one `read_timeout` each, with no clock read: the
+    /// connection is reaped once `read_timeout × polls ≥ idle_timeout`,
+    /// so the horizon is rounded up to whole read timeouts.
     pub idle_timeout: Duration,
     /// How long a bank stays degraded past its last error observation.
     pub degraded_window: Duration,
@@ -674,83 +678,90 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let mut payload: Vec<u8> = Vec::new();
     let mut out: Vec<u8> = Vec::new();
     let mut arena = BatchArena::new();
-    let mut last_activity = Instant::now();
+    // Consecutive idle polls, each one `read_timeout` long: the idle
+    // clock, with no clock read per batch.
+    let mut idle_polls = 0u32;
     let close_reason = loop {
         // Drain contract: once shutdown begins we stop reading new
         // frames; everything already answered has been flushed below.
         if shared.stop.load(Ordering::SeqCst) {
             break CloseReason::Drained;
         }
-        match protocol::read_frame(&mut reader, &mut payload) {
-            Ok(protocol::FrameRead::Frame) => {
-                last_activity = Instant::now();
-                out.clear();
-                arena.clear();
-                let mut fatal = decode_frame_into(shared, &payload, &mut arena).err();
-                // Greedy drain: every complete frame already buffered
-                // joins this batch, so decode, bank grouping, and the
-                // flush below are paid once per pipelined burst instead
-                // of once per request. The drain never blocks — it only
-                // consumes bytes the kernel already delivered.
-                while fatal.is_none() {
-                    match buffered_frame_len(&reader) {
-                        Ok(Some(len)) => {
-                            let result =
-                                decode_frame_into(shared, &reader.buffer()[4..4 + len], &mut arena);
-                            reader.consume(4 + len);
-                            fatal = result.err();
-                        }
-                        Ok(None) => break,
-                        Err(err) => {
-                            fatal = Some(FatalDecode {
-                                err,
-                                bad_request_id: None,
-                            });
-                        }
-                    }
-                }
-                // Everything decoded before the failure still gets
-                // served — answers the peer already earned are not
-                // dropped on the floor.
-                execute_arena(shared, &mut arena, &mut out);
-                if let Some(fatal) = fatal {
-                    // Undecodable frame: best-effort BAD_REQUEST when
-                    // the id was parseable, then close (the framing
-                    // after an undecodable body cannot be trusted).
-                    shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    if let Some(id) = fatal.bad_request_id {
-                        protocol::encode_response(id, &Response::BadRequest, &mut out);
-                    }
-                    let _ = writer.write_all(&out);
-                    let _ = writer.flush();
-                    break CloseReason::Protocol;
-                }
-                if protocol::write_all(&mut writer, &out).is_err() {
-                    break CloseReason::WriteFailed;
-                }
-                // Flush before the next blocking read so the client
-                // always sees its answers; skip it while more request
-                // bytes are already buffered (responses keep batching).
-                if reader.buffer().is_empty() && writer.flush().is_err() {
-                    break CloseReason::WriteFailed;
-                }
-            }
-            Ok(protocol::FrameRead::Eof) => break CloseReason::PeerClosed,
-            Ok(protocol::FrameRead::Idle) => {
+        let arrival = match protocol::next_frame(&mut reader, &mut payload) {
+            Ok(Arrival::Eof) => break CloseReason::PeerClosed,
+            Ok(Arrival::Idle) => {
                 // Idle poll: nothing mid-frame. Reap when idle too long.
-                if last_activity.elapsed() >= shared.cfg.idle_timeout {
+                idle_polls = idle_polls.saturating_add(1);
+                if shared.cfg.read_timeout.saturating_mul(idle_polls) >= shared.cfg.idle_timeout {
                     shared
                         .stats
                         .connections_reaped
                         .fetch_add(1, Ordering::Relaxed);
                     break CloseReason::Idle;
                 }
+                continue;
             }
+            Ok(arrival) => arrival,
             Err(ServerError::Protocol(_)) => {
                 shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 break CloseReason::Protocol;
             }
             Err(_) => break CloseReason::PeerClosed,
+        };
+        idle_polls = 0;
+        out.clear();
+        arena.clear();
+        // A frame split across reads was copied out; a complete one is
+        // still in the buffer and is decoded there by the drain below.
+        let mut fatal = match arrival {
+            Arrival::Copied => decode_frame_into(shared, &payload, &mut arena).err(),
+            _ => None,
+        };
+        // Greedy drain: every complete frame already buffered joins this
+        // batch, so decode, bank grouping, and the flush below are paid
+        // once per pipelined burst instead of once per request. The
+        // drain never blocks — it only consumes bytes the kernel already
+        // delivered.
+        while fatal.is_none() {
+            match protocol::complete_frame_len(reader.buffer()) {
+                Ok(Some(len)) => {
+                    let result =
+                        decode_frame_into(shared, &reader.buffer()[4..4 + len], &mut arena);
+                    reader.consume(4 + len);
+                    fatal = result.err();
+                }
+                Ok(None) => break,
+                Err(err) => {
+                    fatal = Some(FatalDecode {
+                        err,
+                        bad_request_id: None,
+                    });
+                }
+            }
+        }
+        // Everything decoded before the failure still gets served —
+        // answers the peer already earned are not dropped on the floor.
+        execute_arena(shared, &mut arena, &mut out);
+        if let Some(fatal) = fatal {
+            // Undecodable frame: best-effort BAD_REQUEST when the id was
+            // parseable, then close (the framing after an undecodable
+            // body cannot be trusted).
+            shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            if let Some(id) = fatal.bad_request_id {
+                protocol::encode_response(id, &Response::BadRequest, &mut out);
+            }
+            let _ = writer.write_all(&out);
+            let _ = writer.flush();
+            break CloseReason::Protocol;
+        }
+        if protocol::write_all(&mut writer, &out).is_err() {
+            break CloseReason::WriteFailed;
+        }
+        // Flush before the next blocking read so the client always sees
+        // its answers; skip it while more request bytes are already
+        // buffered (responses keep batching).
+        if reader.buffer().is_empty() && writer.flush().is_err() {
+            break CloseReason::WriteFailed;
         }
     };
     let _ = writer.flush();
@@ -767,30 +778,6 @@ enum CloseReason {
     Protocol,
     WriteFailed,
     Drained,
-}
-
-/// Length of the next *complete* frame sitting in the reader's buffer,
-/// `None` when the buffer holds no (or only a partial) frame — a
-/// partial stays for the next blocking [`protocol::read_frame`], which
-/// drains buffered bytes first. Length-prefix validation mirrors
-/// `read_frame` so a hostile length is rejected identically on both
-/// paths.
-fn buffered_frame_len(reader: &BufReader<TcpStream>) -> Result<Option<usize>, ProtocolError> {
-    let buf = reader.buffer();
-    if buf.len() < 4 {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-    if len > protocol::MAX_FRAME_BYTES {
-        return Err(ProtocolError::Oversized { len });
-    }
-    if len == 0 {
-        return Err(ProtocolError::Empty);
-    }
-    if buf.len() < 4 + len {
-        return Ok(None);
-    }
-    Ok(Some(len))
 }
 
 /// Reusable decode/execute arena of one connection's frame batch. All
@@ -1065,10 +1052,15 @@ fn execute_arena(shared: &Shared, arena: &mut BatchArena, out: &mut Vec<u8>) {
                 multi.finish();
             }
             FrameEntry::Health { id } => {
-                protocol::encode_response(id, &Response::Health(shared.health_report()), out);
+                protocol::encode_response(
+                    id,
+                    &Response::Health(Box::new(shared.health_report())),
+                    out,
+                );
             }
             FrameEntry::ScrubStats { id } => {
-                protocol::encode_response(id, &Response::ScrubStats(shared.scrub_snapshot()), out);
+                let snap = Box::new(shared.scrub_snapshot());
+                protocol::encode_response(id, &Response::ScrubStats(snap), out);
             }
         }
     }

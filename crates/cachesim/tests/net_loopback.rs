@@ -7,13 +7,13 @@
 
 use cachesim::net::protocol::{self, status, MAX_KEY};
 use cachesim::net::{
-    CacheServer, FrameRead, ItemOutcome, NetClient, Request, Response, ServerConfig, ServerError,
-    ShardOutcome, ShardedClient,
+    CacheServer, ClientConfig, FrameRead, ItemOutcome, NetClient, Request, Response, ServerConfig,
+    ServerError, ShardOutcome, ShardedClient,
 };
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use twod_cache::{CacheConfig, ConcurrentBankedCache, TwoDScheme};
 
 const BANKS: usize = 4;
@@ -516,5 +516,169 @@ fn truncated_frame_then_silence_is_reaped_by_deadline() {
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
     client.set(3, 14).expect("set");
     assert_eq!(client.get(3).expect("get"), 14);
+    server.shutdown();
+}
+
+/// Writes `bytes` in pieces cut at `cuts`, pausing between writes so
+/// each piece reaches the peer in its own read.
+fn write_in_pieces(stream: &mut TcpStream, bytes: &[u8], cuts: &[usize]) {
+    let mut from = 0;
+    for &cut in cuts.iter().chain([bytes.len()].iter()) {
+        stream.write_all(&bytes[from..cut]).expect("write piece");
+        stream.flush().expect("flush piece");
+        std::thread::sleep(Duration::from_millis(30));
+        from = cut;
+    }
+}
+
+#[test]
+fn pipelined_responses_split_across_reads_arrive_in_order() {
+    // A stand-in server: it reads the batch's request frames, then
+    // answers with one frame's length prefix split across two writes
+    // and another frame's payload split across two more, so the client
+    // decodes some responses where they land and copies the split ones.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    const N: usize = 8;
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        stream.set_nodelay(true).expect("nodelay");
+        let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
+        let mut payload = Vec::new();
+        let mut answers = Vec::new();
+        let mut starts = Vec::new();
+        for _ in 0..N {
+            assert_eq!(
+                protocol::read_frame(&mut reader, &mut payload).expect("request"),
+                FrameRead::Frame
+            );
+            let (id, req) = protocol::decode_request(&payload).expect("decodable request");
+            let Request::Get { key } = req else {
+                panic!("unexpected {req:?}");
+            };
+            starts.push(answers.len());
+            protocol::encode_response(id, &Response::Value(key * 7), &mut answers);
+        }
+        // Cut inside frame 2's length prefix and inside frame 5's body.
+        write_in_pieces(&mut stream, &answers, &[starts[2] + 2, starts[5] + 7]);
+        stream
+    });
+    let cfg = ClientConfig {
+        read_timeout: Duration::from_secs(2),
+        ..ClientConfig::default()
+    };
+    let mut client = NetClient::connect_with(addr, cfg).expect("connect");
+    let reqs: Vec<Request> = (0..N as u64).map(|key| Request::Get { key }).collect();
+    let resps = client.pipeline(&reqs).expect("split responses");
+    let want: Vec<Response> = (0..N as u64).map(|k| Response::Value(k * 7)).collect();
+    assert_eq!(resps, want);
+    drop(peer.join().expect("peer thread"));
+}
+
+#[test]
+fn request_frame_split_across_reads_is_answered() {
+    let (server, _cache) = spawn_server();
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    client.set(21, 2121).expect("set");
+    client.set(22, 2222).expect("set");
+
+    let mut stream = TcpStream::connect(server.local_addr()).expect("raw connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("timeout");
+    let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
+    let mut payload = Vec::new();
+    // One GET cut inside its length prefix, one cut inside its body.
+    for (id, key, cut) in [(1u32, 21u64, 2usize), (2, 22, 9)] {
+        let mut frame = Vec::new();
+        protocol::encode_request(id, &Request::Get { key }, &mut frame);
+        write_in_pieces(&mut stream, &frame, &[cut]);
+        assert_eq!(
+            protocol::read_frame(&mut reader, &mut payload).expect("response"),
+            FrameRead::Frame
+        );
+        let (got, resp) = protocol::decode_response(&payload, cachesim::net::ResponseKind::Get)
+            .expect("decodable response");
+        assert_eq!(got, id);
+        assert_eq!(resp, Response::Value(key * 101));
+    }
+    server.shutdown();
+}
+
+#[test]
+fn client_deadline_expires_against_a_silent_peer() {
+    // A peer that accepts and never answers.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let cfg = ClientConfig {
+        read_timeout: Duration::from_millis(25),
+        response_deadline: Duration::from_millis(250),
+        ..ClientConfig::default()
+    };
+    let mut client =
+        NetClient::connect_with(listener.local_addr().expect("addr"), cfg).expect("connect");
+    let (_silent, _) = listener.accept().expect("accept");
+    let begun = Instant::now();
+    let err = client.get(1).expect_err("no answer can arrive");
+    let waited = begun.elapsed();
+    assert!(matches!(err, ServerError::DeadlineExpired), "{err:?}");
+    assert!(
+        waited >= cfg.response_deadline,
+        "expired early: {waited:?} < {:?}",
+        cfg.response_deadline
+    );
+    // About one read timeout past the deadline, with room for a busy
+    // host's scheduling.
+    let late = cfg.response_deadline + 2 * cfg.read_timeout + Duration::from_millis(150);
+    assert!(waited <= late, "expired late: {waited:?} > {late:?}");
+}
+
+#[test]
+fn silent_connection_is_reaped_after_idle_timeout() {
+    let cache = Arc::new(ConcurrentBankedCache::new(
+        CacheConfig {
+            sets: 16,
+            ways: 2,
+            data_scheme: TwoDScheme::l1_paper(),
+            tag_scheme: TwoDScheme {
+                data_bits: 50,
+                ..TwoDScheme::l1_paper()
+            },
+        },
+        BANKS,
+    ));
+    let cfg = ServerConfig {
+        read_timeout: Duration::from_millis(20),
+        idle_timeout: Duration::from_millis(120),
+        ..ServerConfig::default()
+    };
+    let server = CacheServer::spawn(cache, None, "127.0.0.1:0", cfg).expect("bind");
+
+    // Traffic with gaps shorter than the idle timeout keeps a
+    // connection open well past it; closing it is not a reap.
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    for i in 0..10u64 {
+        client.set(i, i).expect("set");
+        std::thread::sleep(Duration::from_millis(40));
+    }
+    assert_eq!(client.get(9).expect("get"), 9);
+    assert_eq!(server.stats().connections_reaped, 0);
+    drop(client);
+
+    // A connection that never sends is closed by the server.
+    let stream = TcpStream::connect(server.local_addr()).expect("raw connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    let begun = Instant::now();
+    let mut byte = [0u8; 1];
+    let read = (&stream).read(&mut byte);
+    assert!(
+        matches!(read, Ok(0)) || read.is_err(),
+        "server sent {read:?}"
+    );
+    assert!(begun.elapsed() >= cfg.idle_timeout, "reaped early");
+    assert!(begun.elapsed() < Duration::from_secs(5), "never reaped");
+    assert_eq!(server.stats().connections_reaped, 1);
     server.shutdown();
 }

@@ -117,8 +117,9 @@ fn arb_response() -> impl Strategy<Value = (Response, ResponseKind)> {
             .prop_map(|(ms, k)| (Response::Degraded { retry_after_ms: ms }, k)),
         arb_kind().prop_map(|k| (Response::Fault, k)),
         arb_kind().prop_map(|k| (Response::BadRequest, k)),
-        arb_health_report().prop_map(|h| (Response::Health(h), ResponseKind::Health)),
-        arb_scrub_snapshot().prop_map(|s| (Response::ScrubStats(s), ResponseKind::ScrubStats)),
+        arb_health_report().prop_map(|h| (Response::Health(Box::new(h)), ResponseKind::Health)),
+        arb_scrub_snapshot()
+            .prop_map(|s| (Response::ScrubStats(Box::new(s)), ResponseKind::ScrubStats)),
     ]
 }
 

@@ -63,12 +63,12 @@ fn scheme_registry() -> &'static SchemeRegistry {
 /// column of word `w` contributes its parity-matrix row, a check column
 /// its unit bit, each shifted to word `w`'s lane of `check_bits` bits.
 /// When a row's total check bits (`interleave × check_bits`) fit one
-/// `u64` — every preset — the scheme slices that map by row nibble: one
-/// 16-entry table per 4 physical columns, entries as narrow as the
-/// row's check bits (about 9 KiB for the paper's L2 preset, EDC16 over
-/// two 256-bit words). A row's syndrome, every word's check equations
-/// at once, is then the XOR of one lookup per nibble, with no gather and
-/// no popcount, and an all-zero limb contributes nothing and is skipped.
+/// `u64`, the scheme slices that map by row nibble: one 16-entry table
+/// per 4 physical columns, entries as narrow as the row's check bits
+/// (about 9 KiB for SECDED over two 256-bit words). A row's syndrome,
+/// every word's check equations at once, is then the XOR of one lookup
+/// per nibble, with no gather and no popcount, and an all-zero limb
+/// contributes nothing and is skipped.
 /// Word `w` is clean iff its lane is zero. This serves every row-level
 /// check ([`BankScheme::row_clean`], [`BankScheme::dirty_words`], the
 /// scrubber's [`BankScheme::rows_clean_limbs`], recovery) and the
@@ -78,7 +78,7 @@ fn scheme_registry() -> &'static SchemeRegistry {
 /// keep a per-word form that reads only the word: `H·d` is the XOR of
 /// `H·(nibble_k << 4k)` over the data's nibbles, so a second, per-word
 /// nibble table re-encodes the gathered data in one lookup per nibble
-/// (256 bytes for the paper's EDC8 over 64-bit words), and the gathered
+/// (256 bytes for SECDED over 64-bit words), and the gathered
 /// data is the value a read returns. The same table is the u64 encode
 /// lane of writes for every code of at most 64 check bits.
 ///
@@ -86,17 +86,25 @@ fn scheme_registry() -> &'static SchemeRegistry {
 /// more than 64 check bits (the stronger BCH codes at wider interleaves,
 /// such as QEC-PED over 64-bit words at interleave 4, or a single word
 /// of more than 64 check bits), where no row syndrome fits one integer.
+///
+/// `EDCg` rows at interleave `d` with `g·d` dividing 64 — the paper's L1
+/// data and tags and its L2 — need neither table. A data column's parity
+/// lane is its column index modulo `g·d`, so the XOR of the row's data
+/// limbs, halved down to `g·d` bits and XORed with the contiguous check
+/// field, is the row syndrome, and the same halving of a data pattern is
+/// its encode. Every check and encode of such a scheme takes this one
+/// fold, the hardware's shallow XOR tree beside every read.
 pub struct BankScheme {
     config: TwoDConfig,
     hcode: Arc<dyn Code + Send + Sync>,
     layout: RowLayout,
     /// The per-word encode map sliced by data nibble, present whenever
-    /// the code stores at most 64 check bits: the u64 encode lane of
-    /// writes, and the re-encode clean check of words of at most 64 data
-    /// bits.
+    /// the code stores at most 64 check bits and the row has no parity
+    /// fold: the u64 encode lane of writes, and the re-encode clean check
+    /// of words of at most 64 data bits.
     encode: Option<NibbleTable>,
-    /// The row-level clean check: one syndrome table, or per-equation
-    /// masks for rows with more than 64 check bits.
+    /// The row-level clean check: the parity fold, one syndrome table,
+    /// or per-equation masks for rows with more than 64 check bits.
     row_check: RowCheck,
     /// All physical columns (data + check) belonging to each word, used
     /// for limb-level column-intersection during column-mode recovery.
@@ -108,6 +116,9 @@ pub struct BankScheme {
 
 /// How a scheme checks whole rows.
 enum RowCheck {
+    /// EDC rows whose parity lanes tile a limb: one XOR fold of the row
+    /// is every word's syndrome, and the same fold is the encode.
+    Fold(ParityFold),
     /// The row syndrome map sliced by physical nibble (rows of at most
     /// 64 check bits). Word `w`'s syndrome is bits
     /// `w * check_bits..(w + 1) * check_bits`.
@@ -127,8 +138,9 @@ enum RowCheck {
 
 /// A GF(2)-linear map into words of at most 64 bits, sliced by input
 /// nibble: row `k`, entry `v` is the image of `v << 4k`. Entries take the
-/// narrowest integer that holds an image, so the per-word encode table
-/// stays a few hundred bytes and the L2 row-syndrome table about 9 KiB.
+/// narrowest integer that holds an image, so a per-word encode table
+/// stays a few hundred bytes and a 256-bit-word row-syndrome table about
+/// 9 KiB.
 enum NibbleTable {
     U8(Vec<[u8; 16]>),
     U16(Vec<[u16; 16]>),
@@ -222,6 +234,128 @@ fn fold_limbs<T: Copy + Into<u64>>(rows: &[[T; 16]], limbs: &[u64]) -> u64 {
     acc
 }
 
+/// The clean check and encode of `EDCg` rows at interleave `d` where
+/// `g·d` divides 64 (the paper's L1 data and tags and its L2).
+///
+/// Data bit `i` of word `w` sits in column `i·d + w` and feeds check bit
+/// `i mod g`, so a data column `c` feeds parity lane `c mod g·d`; check
+/// bit `j` of word `w` sits at offset `j·d + w` of the contiguous check
+/// field, so the field's bit `L` is lane `L`'s stored parity. Because
+/// `g·d` divides 64, a column's lane is fixed by its
+/// position inside its limb: the XOR of the row's data limbs, halved
+/// down to `g·d` bits, is every lane's data parity at once, and XORing
+/// the check field gives the row syndrome. Its bits `w, w + d, …` are
+/// word `w`'s `g` equations. No bit of the row is gathered and no table
+/// is indexed.
+#[derive(Clone, Copy, Debug)]
+struct ParityFold {
+    /// Parity lanes per row, `g·d`: a power of two of at most 64.
+    lanes: usize,
+    /// Words per row, `d`.
+    words: usize,
+    /// Parity groups per word, `g`.
+    groups: usize,
+    /// Whole limbs of the data region.
+    data_limbs: usize,
+    /// Data columns in the region's partial last limb (0 when the region
+    /// ends on a limb boundary).
+    tail_cols: usize,
+    /// First column of the check field.
+    check_col: usize,
+    /// Word 0's lanes: bits `0, d, 2d, …` below `g·d`.
+    word_lanes: u64,
+}
+
+impl ParityFold {
+    /// The fold for `kind` over `layout`, when `kind` is `EDCg` and `g·d`
+    /// divides 64.
+    fn new(kind: ecc::CodeKind, layout: &RowLayout) -> Option<Self> {
+        let ecc::CodeKind::Edc(groups) = kind else {
+            return None;
+        };
+        let (words, lanes) = (layout.interleave(), groups * layout.interleave());
+        if lanes == 0 || 64 % lanes != 0 {
+            return None;
+        }
+        assert_eq!(
+            layout.check_bits(),
+            groups,
+            "EDC{groups} stores {groups} check bits"
+        );
+        let data_cols = layout.data_bits() * words;
+        Some(ParityFold {
+            lanes,
+            words,
+            groups,
+            data_limbs: data_cols / 64,
+            tail_cols: data_cols % 64,
+            check_col: data_cols,
+            word_lanes: (0..groups).fold(0, |acc, j| acc | 1 << (j * words)),
+        })
+    }
+
+    /// The row syndrome of a limb snapshot of one row: lane `j·d + w` is
+    /// set iff check equation `j` of word `w` fails. Bits past the row
+    /// are never read.
+    #[inline]
+    fn syndrome(&self, limbs: &[u64]) -> u64 {
+        let mut acc = limbs[..self.data_limbs].iter().fold(0, |acc, &l| acc ^ l);
+        if self.tail_cols != 0 {
+            acc ^= limbs[self.data_limbs] & crate::layout::low_mask(self.tail_cols);
+        }
+        let (limb, shift) = (self.check_col / 64, self.check_col % 64);
+        let mut check = limbs[limb] >> shift;
+        if shift + self.lanes > 64 {
+            check |= limbs[limb + 1] << (64 - shift);
+        }
+        (halve(acc, self.lanes) ^ check) & crate::layout::low_mask(self.lanes)
+    }
+
+    /// Word `word`'s lanes of a syndrome.
+    #[inline]
+    fn lanes_of(&self, word: usize) -> u64 {
+        self.word_lanes << word
+    }
+
+    /// Bit `w` set iff any lane of word `w` is set in `syndrome`.
+    #[inline]
+    fn dirty_words(&self, syndrome: u64) -> u64 {
+        let mut dirty = syndrome;
+        let mut width = self.lanes;
+        while width > self.words {
+            width /= 2;
+            dirty |= dirty >> width;
+        }
+        dirty & crate::layout::low_mask(self.words)
+    }
+
+    /// Check word of a `width`-bit data pattern `value` at `bit_offset`:
+    /// the value's bits halved down to `g` group parities, rotated to the
+    /// groups its bits start at.
+    #[inline]
+    fn encode(&self, bit_offset: usize, value: u64, width: usize) -> u64 {
+        let g = self.groups;
+        let parity = halve(value & crate::layout::low_mask(width), g) & crate::layout::low_mask(g);
+        let r = bit_offset % g;
+        if r == 0 {
+            return parity;
+        }
+        ((parity << r) | (parity >> (g - r))) & crate::layout::low_mask(g)
+    }
+}
+
+/// XOR-folds `x` in halves down to its low `width` bits (`width` a power
+/// of two of at most 64); bits above `width` are left as garbage.
+#[inline]
+fn halve(mut x: u64, width: usize) -> u64 {
+    let mut half = 64;
+    while half > width {
+        half /= 2;
+        x ^= x >> half;
+    }
+    x
+}
+
 impl BankScheme {
     /// Builds the scheme for `config` from scratch. The horizontal codec
     /// still comes from the process-wide codec registry
@@ -256,14 +390,17 @@ impl BankScheme {
                 cols
             })
             .collect();
-        let encode = (check_bits <= 64).then(|| {
+        let fold = ParityFold::new(config.horizontal, &layout);
+        let encode = (fold.is_none() && check_bits <= 64).then(|| {
             let unit: Vec<u64> = parity_matrix
                 .iter()
                 .map(|row| row.as_limbs().first().copied().unwrap_or(0))
                 .collect();
             NibbleTable::new(&unit, check_bits)
         });
-        let row_check = if layout.interleave() * check_bits <= 64 {
+        let row_check = if let Some(fold) = fold {
+            RowCheck::Fold(fold)
+        } else if layout.interleave() * check_bits <= 64 {
             RowCheck::Syndrome(row_syndrome_table(&layout, &parity_matrix))
         } else {
             row_masks(&layout, &parity_matrix)
@@ -368,6 +505,7 @@ impl BankScheme {
             "limb snapshot too short"
         );
         match &self.row_check {
+            RowCheck::Fold(fold) => fold.syndrome(limbs) & fold.lanes_of(word) == 0,
             RowCheck::Syndrome(table) => self.lane(table.map_limbs(limbs), word) == 0,
             RowCheck::Masks { masks, spans } => {
                 let cb = self.hcode.check_bits();
@@ -410,6 +548,7 @@ impl BankScheme {
         );
         let il = self.layout.interleave();
         match &self.row_check {
+            RowCheck::Fold(fold) => fold.dirty_words(fold.syndrome(limbs)),
             RowCheck::Syndrome(table) => {
                 let syndrome = table.map_limbs(limbs);
                 if syndrome == 0 {
@@ -438,7 +577,10 @@ impl BankScheme {
     /// clean, `None` otherwise. For words of at most 64 data bits under
     /// a re-encode check this is one fused step — a single strided
     /// gather yields both the bits to encode and the bits to return —
-    /// rather than a check followed by a second extraction.
+    /// rather than a check followed by a second extraction. Under the
+    /// EDC parity fold the check gathers nothing: the row's fold is
+    /// tested on the word's lanes, and only the returned window is
+    /// gathered.
     ///
     /// # Panics
     ///
@@ -505,6 +647,7 @@ impl BankScheme {
         );
         let mut block = limbs.chunks_exact(limbs_per_row).take(rows);
         match &self.row_check {
+            RowCheck::Fold(fold) => block.all(|row| fold.syndrome(row) == 0),
             RowCheck::Syndrome(table) => block.all(|row| table.map_limbs(row) == 0),
             RowCheck::Masks { masks, spans } => masks.iter().zip(spans).all(|(mask, &(lo, hi))| {
                 let (lo, hi) = (lo as usize, hi as usize);
@@ -535,7 +678,7 @@ impl BankScheme {
     /// most 64 check bits, so check words fit one limb).
     #[inline]
     pub fn fast_u64(&self) -> bool {
-        self.encode.is_some()
+        self.encode.is_some() || matches!(self.row_check, RowCheck::Fold(_))
     }
 
     /// Check word of a `width`-bit data pattern `value` positioned at
@@ -551,15 +694,18 @@ impl BankScheme {
     /// or the window falls outside the data word.
     #[inline]
     pub fn encode_u64(&self, bit_offset: usize, value: u64, width: usize) -> u64 {
-        let table = self
-            .encode
-            .as_ref()
-            .expect("u64 encode lane needs <=64 check bits");
         assert!(
             (1..=64).contains(&width) && bit_offset + width <= self.config.data_bits,
             "u64 window {bit_offset}+{width} outside {} data bits",
             self.config.data_bits
         );
+        if let RowCheck::Fold(fold) = &self.row_check {
+            return fold.encode(bit_offset, value, width);
+        }
+        let table = self
+            .encode
+            .as_ref()
+            .expect("u64 encode lane needs <=64 check bits");
         table.encode(bit_offset, value, width)
     }
 }
@@ -683,7 +829,8 @@ mod tests {
     fn encode_u64_matches_codec() {
         use ecc::Bits;
         // Every code the workspace builds stores at most 64 check bits
-        // over 64-bit words, so each gets the nibble-table encode.
+        // over 64-bit words, so each gets a u64 encode: the parity fold
+        // for EDC, the nibble table for the others.
         let kinds = [
             CodeKind::Edc(4),
             CodeKind::Edc(8),
@@ -748,22 +895,32 @@ mod tests {
                 vertical_rows: 8,
             });
             let fits = interleave * scheme.layout().check_bits() <= 64;
+            // The EDC presets (L1 data, L2) fold instead.
+            let folds = matches!(kind, CodeKind::Edc(_));
             assert_eq!(
-                matches!(scheme.row_check, RowCheck::Syndrome(_)),
-                fits,
+                matches!(scheme.row_check, RowCheck::Fold(_)),
+                folds,
                 "{kind:?} x{interleave}"
             );
+            assert_eq!(
+                matches!(scheme.row_check, RowCheck::Syndrome(_)),
+                fits && !folds,
+                "{kind:?} x{interleave}"
+            );
+            assert!(!folds || scheme.encode.is_none(), "a fold needs no table");
         }
-        // The L2 preset (544 columns, 9 limbs): 144 nibble rows of 16
-        // u32 entries, 9 KiB.
-        let l2 = BankScheme::new(TwoDConfig {
+        // SECDED over two 256-bit words (532 columns, 9 limbs): 144
+        // nibble rows of 16 u32 entries, 9 KiB.
+        let wide = BankScheme::new(TwoDConfig {
             rows: 32,
-            horizontal: CodeKind::Edc(16),
+            horizontal: CodeKind::Secded,
             data_bits: 256,
             interleave: 2,
             vertical_rows: 8,
         });
-        assert!(matches!(&l2.row_check, RowCheck::Syndrome(NibbleTable::U32(t)) if t.len() == 144));
+        assert!(
+            matches!(&wide.row_check, RowCheck::Syndrome(NibbleTable::U32(t)) if t.len() == 144)
+        );
     }
 
     #[test]
